@@ -294,8 +294,8 @@ func microOperatorEpoch(mk func() topk.SnapshotOperator) (MicroResult, error) {
 // microScaleMintEpoch measures one steady-state MINT epoch on the flat
 // scale-<n> deployment at the given sweep worker bound, annotating the
 // result with µs-per-node-per-epoch and the worker count. The deployment
-// is built once and reused across the benchmark's re-invocations — the
-// O(n²) link construction at scale-100000 costs minutes, the epochs do not.
+// is built once and reused across the benchmark's re-invocations, so only
+// epochs are timed, never the generator or the cold start.
 func microScaleMintEpoch(n, workers int) (MicroResult, error) {
 	net, src, q, err := scaleDeployment(n, workers)
 	if err != nil {

@@ -13,10 +13,11 @@ import (
 
 // This file is the scale series of the benchmark trajectory: µs of epoch
 // compute per sensor node for a steady-state MINT epoch across deployment
-// sizes (the road to scale-100k), plus the parallel-vs-sequential sweep
-// speedup at scale-4000. The series runs every size at one sweep worker so
-// the per-node trajectory stays comparable across hosts and PRs; the
-// speedup entry re-measures scale-4000 at the configured worker bound.
+// sizes (up to scale-65520, the node-id domain's limit), plus the
+// parallel-vs-sequential sweep speedup at scale-4000. The series runs every
+// size at one sweep worker so the per-node trajectory stays comparable
+// across hosts and PRs; the speedup entry re-measures scale-4000 at the
+// configured worker bound.
 
 // SpeedupScaleSize fixes the deployment of the parallel-vs-sequential
 // speedup measurement: scale-4000, the largest committed scenario.
@@ -24,9 +25,10 @@ const SpeedupScaleSize = 4000
 
 // ScaleSeriesSizes returns the deployment sizes of the µs-per-node-per-epoch
 // scale series at the configured run scale. The two committed scenario sizes
-// always run; the big fields are gated on -scale because their O(n²)
-// disk-link construction dominates wall time (the epoch itself stays cheap):
-// scale-16000 needs -scale ≥ 0.5 and scale-100000 the full -scale 1.
+// always run; the big fields are gated on -scale because each of their
+// epochs costs tens to hundreds of milliseconds: scale-16000 needs
+// -scale ≥ 0.5 and scale-65520, the largest field the uint16 node-id
+// domain holds, the full -scale 1.
 func ScaleSeriesSizes(cfg RunConfig) []int {
 	sizes := []int{1000, 4000}
 	s := cfg.Scale
@@ -37,15 +39,15 @@ func ScaleSeriesSizes(cfg RunConfig) []int {
 		sizes = append(sizes, 16000)
 	}
 	if s >= 1 {
-		sizes = append(sizes, 100000)
+		sizes = append(sizes, 65520)
 	}
 	return sizes
 }
 
 // scaleDeployment builds the flat scale-<n> deployment with the given sweep
 // worker bound. Callers build it once per series entry and reuse it across
-// benchmark rounds: the scale generator's O(n²) link construction costs
-// minutes at scale-100000, far beyond the epochs being measured.
+// benchmark rounds, so the measured loop holds epochs only, not the
+// generator or the cold start (grid-bucketed links and the BFS tree).
 func scaleDeployment(n, workers int) (*sim.Network, trace.Source, topk.SnapshotQuery, error) {
 	scen, err := config.ScaleScenario(n)
 	if err != nil {

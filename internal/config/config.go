@@ -104,8 +104,17 @@ func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("config: name: missing (scenario needs a name)")
 	}
+	if !finite(s.Radius) {
+		return fmt.Errorf("config: radio_radius: must be finite, got %v", s.Radius)
+	}
 	if s.Radius <= 0 {
 		return fmt.Errorf("config: radio_radius: must be positive, got %v", s.Radius)
+	}
+	if !finite(s.SinkX) {
+		return fmt.Errorf("config: sink_x: must be finite, got %v", s.SinkX)
+	}
+	if !finite(s.SinkY) {
+		return fmt.Errorf("config: sink_y: must be finite, got %v", s.SinkY)
 	}
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("config: nodes: empty (scenario has no nodes)")
@@ -126,6 +135,12 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("config: nodes[%d].id: duplicate node id %d", i, n.ID)
 		}
 		seen[n.ID] = true
+		if !finite(n.X) {
+			return fmt.Errorf("config: nodes[%d].x: must be finite, got %v", i, n.X)
+		}
+		if !finite(n.Y) {
+			return fmt.Errorf("config: nodes[%d].y: must be finite, got %v", i, n.Y)
+		}
 		if len(s.Clusters) > 0 && !clusters[n.Cluster] {
 			return fmt.Errorf("config: nodes[%d].cluster: unknown cluster %d", i, n.Cluster)
 		}
@@ -151,6 +166,8 @@ func (s *Scenario) Validate() error {
 	}
 	return s.validateShards(clusters)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validateShards checks the federation block: the shards must partition
 // the cluster list exactly (every cluster in exactly one shard), every
@@ -414,12 +431,18 @@ const scalePerRoom = 20
 // workload family of the benchmark trajectory (scenarios/scale-1000.json,
 // scale-4000.json are its committed outputs — regenerate with
 // `kspot-sim -gen-scale <n> -emit <file>`). n must be a positive multiple
-// of 20. The generator is a pure function of n: positions derive from a
+// of 20 and at most 65520, the largest such size the uint16 node-id domain
+// holds. The generator is a pure function of n: positions derive from a
 // seeded layout and are rounded to centimeters so the JSON stays compact
 // and byte-stable across regenerations.
 func ScaleScenario(n int) (*Scenario, error) {
 	if n < scalePerRoom || n%scalePerRoom != 0 {
 		return nil, fmt.Errorf("config: scale scenario size %d must be a positive multiple of %d", n, scalePerRoom)
+	}
+	if n > math.MaxUint16 {
+		// Node ids are uint16 (the sink is 0): a larger field would wrap
+		// ids and overwrite earlier nodes, deploying a smaller network.
+		return nil, fmt.Errorf("config: scale scenario size %d exceeds the node-id domain of %d sensors", n, math.MaxUint16)
 	}
 	rooms := n / scalePerRoom
 	p := topo.Rooms(rooms, scalePerRoom, 12, int64(1009+n))

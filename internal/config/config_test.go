@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,6 +37,12 @@ func TestValidate(t *testing.T) {
 	}{
 		{"missing name", func(s *Scenario) { s.Name = "" }, "config: name: missing"},
 		{"bad radius", func(s *Scenario) { s.Radius = 0 }, "config: radio_radius: must be positive"},
+		{"nan radius", func(s *Scenario) { s.Radius = math.NaN() }, "config: radio_radius: must be finite, got NaN"},
+		{"inf radius", func(s *Scenario) { s.Radius = math.Inf(1) }, "config: radio_radius: must be finite, got +Inf"},
+		{"nan sink x", func(s *Scenario) { s.SinkX = math.NaN() }, "config: sink_x: must be finite"},
+		{"inf sink y", func(s *Scenario) { s.SinkY = math.Inf(-1) }, "config: sink_y: must be finite"},
+		{"nan node x", func(s *Scenario) { s.Nodes[1].X = math.NaN() }, "config: nodes[1].x: must be finite"},
+		{"inf node y", func(s *Scenario) { s.Nodes[0].Y = math.Inf(1) }, "config: nodes[0].y: must be finite"},
 		{"no nodes", func(s *Scenario) { s.Nodes = nil }, "config: nodes: empty"},
 		{"sink id", func(s *Scenario) { s.Nodes[0].ID = 0 }, "config: nodes[0].id: 0 is reserved"},
 		{"dup node", func(s *Scenario) { s.Nodes[1].ID = s.Nodes[0].ID }, "config: nodes[1].id: duplicate node id 1"},
@@ -192,6 +199,30 @@ func TestAutoShard(t *testing.T) {
 	}
 	if err := s.AutoShard(1); err != nil || s.Shards != nil {
 		t.Errorf("AutoShard(1) should clear the block: %v %+v", err, s.Shards)
+	}
+}
+
+// TestScaleScenarioIDDomain: sizes past the uint16 node-id domain are
+// refused with an error naming the limit instead of wrapping ids.
+func TestScaleScenarioIDDomain(t *testing.T) {
+	for _, n := range []int{65540, 100000} {
+		_, err := ScaleScenario(n)
+		if err == nil {
+			t.Fatalf("size %d accepted", n)
+		}
+		if !strings.Contains(err.Error(), "65535") {
+			t.Errorf("size %d: error %q does not name the id limit", n, err)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	s, err := ScaleScenario(65520)
+	if err != nil {
+		t.Fatalf("largest valid size refused: %v", err)
+	}
+	if len(s.Nodes) != 65520 || s.Nodes[len(s.Nodes)-1].ID != 65520 {
+		t.Fatalf("scale-65520 has %d nodes, last id %d", len(s.Nodes), s.Nodes[len(s.Nodes)-1].ID)
 	}
 }
 

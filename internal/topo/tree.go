@@ -3,62 +3,215 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"kspot/internal/model"
 )
 
 // Links is the symmetric connectivity relation: which pairs of nodes can
-// hear each other.
+// hear each other. Every node's neighbors are held as one slice sorted by
+// id (adj is indexed by node id), so Neighbors and Connected need neither a
+// sort nor a map lookup.
 type Links struct {
-	adj map[model.NodeID]map[model.NodeID]bool
+	adj [][]model.NodeID
 }
 
 // NewLinks returns an empty link set.
-func NewLinks() *Links { return &Links{adj: make(map[model.NodeID]map[model.NodeID]bool)} }
+func NewLinks() *Links { return &Links{} }
 
 // Connect adds a bidirectional link.
 func (l *Links) Connect(a, b model.NodeID) {
 	if a == b {
 		return
 	}
-	if l.adj[a] == nil {
-		l.adj[a] = make(map[model.NodeID]bool)
+	if n := int(max(a, b)) + 1; n > len(l.adj) {
+		l.adj = append(l.adj, make([][]model.NodeID, n-len(l.adj))...)
 	}
-	if l.adj[b] == nil {
-		l.adj[b] = make(map[model.NodeID]bool)
+	l.adj[a] = insertSorted(l.adj[a], b)
+	l.adj[b] = insertSorted(l.adj[b], a)
+}
+
+// insertSorted adds id to the sorted slice s unless already present.
+func insertSorted(s []model.NodeID, id model.NodeID) []model.NodeID {
+	i, found := slices.BinarySearch(s, id)
+	if found {
+		return s
 	}
-	l.adj[a][b] = true
-	l.adj[b][a] = true
+	return slices.Insert(s, i, id)
 }
 
 // Connected reports whether a and b share a link.
-func (l *Links) Connected(a, b model.NodeID) bool { return l.adj[a][b] }
+func (l *Links) Connected(a, b model.NodeID) bool {
+	_, found := slices.BinarySearch(l.Neighbors(a), b)
+	return found
+}
 
-// Neighbors returns a node's neighbors, sorted for determinism.
+// Neighbors returns a node's neighbors in ascending id order. The slice is
+// shared with the link set — callers must not modify it.
 func (l *Links) Neighbors(a model.NodeID) []model.NodeID {
-	ns := make([]model.NodeID, 0, len(l.adj[a]))
-	for n := range l.adj[a] {
-		ns = append(ns, n)
+	if int(a) >= len(l.adj) {
+		return nil
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
+	return l.adj[a]
 }
 
 // DiskLinks builds unit-disk connectivity: two nodes are linked iff their
 // distance is at most radius (the MICA2's usable indoor range for a given
 // power setting).
+//
+// The build is expected O(n + E): nodes are bucketed into a uniform grid
+// whose cells are at least radius wide, so every linked pair lies in the
+// same or adjacent cells and each node is tested only against its own cell
+// and the neighboring ones. The predicate is the exact Dist <= radius test
+// of the pairwise definition, so the link set is identical to it.
 func DiskLinks(p *Placement, radius float64) *Links {
-	l := NewLinks()
+	if !finite(radius) {
+		panic(fmt.Sprintf("topo: DiskLinks radius %v is not finite", radius))
+	}
 	ids := p.Nodes()
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			if p.Positions[a].Dist(p.Positions[b]) <= radius {
-				l.Connect(a, b)
+	l := &Links{}
+	if len(ids) == 0 {
+		return l
+	}
+	pts := make([]Point, len(ids))
+	for i, id := range ids {
+		pt := p.Positions[id]
+		if !finite(pt.X) || !finite(pt.Y) {
+			panic(fmt.Sprintf("topo: DiskLinks node %d position %+v is not finite", id, pt))
+		}
+		pts[i] = pt
+	}
+	g := newGrid(pts, radius)
+
+	// Each unordered pair is tested once: against the later nodes of the
+	// same cell and every node of the four "forward" neighbor cells (the
+	// other four see this cell as their forward neighbor). The scan walks
+	// the grid's own cell-ordered copy of the positions.
+	deg := make([]int32, len(ids))
+	var pairs []int32
+	test := func(a, from, to int32) {
+		pa := g.pts[a]
+		for b := from; b < to; b++ {
+			if pa.Dist(g.pts[b]) <= radius {
+				i, j := g.idx[a], g.idx[b]
+				pairs = append(pairs, i, j)
+				deg[i]++
+				deg[j]++
 			}
 		}
 	}
+	forward := [4][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
+	for cy := 0; cy < g.h; cy++ {
+		for cx := 0; cx < g.w; cx++ {
+			lo, hi := g.cell(cx, cy)
+			for a := lo; a < hi; a++ {
+				test(a, a+1, hi)
+				for _, d := range forward {
+					if nx, ny := cx+d[0], cy+d[1]; nx >= 0 && nx < g.w && ny < g.h {
+						from, to := g.cell(nx, ny)
+						test(a, from, to)
+					}
+				}
+			}
+		}
+	}
+
+	// Lay every node's neighbors out in one backing array, sorted by a
+	// two-pass counting sort: bucket the pairs by node, then transpose —
+	// walking the nodes in ascending order and appending each to its
+	// neighbors' runs leaves every run in ascending id order. Capacities
+	// are clipped so a later Connect reallocates instead of spilling into
+	// the next node's run.
+	off := make([]int32, len(ids)+1)
+	for i, d := range deg {
+		off[i+1] = off[i] + d
+	}
+	unsorted := make([]int32, off[len(ids)])
+	next := slices.Clone(off[:len(ids)])
+	for k := 0; k < len(pairs); k += 2 {
+		i, j := pairs[k], pairs[k+1]
+		unsorted[next[i]] = j
+		next[i]++
+		unsorted[next[j]] = i
+		next[j]++
+	}
+	flat := make([]model.NodeID, off[len(ids)])
+	copy(next, off)
+	for v, id := range ids {
+		for _, u := range unsorted[off[v]:off[v+1]] {
+			flat[next[u]] = id
+			next[u]++
+		}
+	}
+	l.adj = make([][]model.NodeID, int(ids[len(ids)-1])+1)
+	for i, id := range ids {
+		l.adj[id] = flat[off[i]:off[i+1]:off[i+1]]
+	}
 	return l
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// grid buckets points into w x h square cells. Cell c holds the points
+// pts[start[c]:start[c+1]] — copies of the positions, laid out cell by
+// cell — and idx maps each back to its index in the input slice.
+type grid struct {
+	w, h  int
+	start []int32
+	pts   []Point
+	idx   []int32
+}
+
+// cell returns the bounds of cell (cx, cy) in pts and idx.
+func (g *grid) cell(cx, cy int) (lo, hi int32) {
+	c := cy*g.w + cx
+	return g.start[c], g.start[c+1]
+}
+
+// newGrid buckets pts into cells of side at least radius — and at least
+// the extent over √n, which keeps the cell count O(n) however small radius
+// is. The side carries a relative margin over radius so that two points
+// within radius of each other never land two cells apart through rounding
+// in the cell-index arithmetic.
+func newGrid(pts []Point, radius float64) *grid {
+	minX, minY := pts[0].X, pts[0].Y
+	maxX, maxY := minX, minY
+	for _, pt := range pts[1:] {
+		minX, maxX = min(minX, pt.X), max(maxX, pt.X)
+		minY, maxY = min(minY, pt.Y), max(maxY, pt.Y)
+	}
+	extent := max(maxX-minX, maxY-minY)
+	side := max(radius*(1+1e-9), extent/math.Ceil(math.Sqrt(float64(len(pts)))))
+	// All points coinciding, or a field whose extent overflows, makes a
+	// single cell.
+	single := !(side > 0) || math.IsInf(side, 1)
+	axis := func(v, lo float64) int {
+		if single {
+			return 0
+		}
+		return int((v - lo) / side)
+	}
+	g := &grid{w: axis(maxX, minX) + 1, h: axis(maxY, minY) + 1}
+	cellOf := make([]int32, len(pts))
+	g.start = make([]int32, g.w*g.h+1)
+	for i, pt := range pts {
+		c := int32(axis(pt.Y, minY)*g.w + axis(pt.X, minX))
+		cellOf[i] = c
+		g.start[c+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	g.pts = make([]Point, len(pts))
+	g.idx = make([]int32, len(pts))
+	next := slices.Clone(g.start[:len(g.start)-1])
+	for i, c := range cellOf {
+		g.pts[next[c]] = pts[i]
+		g.idx[next[c]] = int32(i)
+		next[c]++
+	}
+	return g
 }
 
 // Tree is the TAG-style routing tree rooted at the sink. Every KSpot message
@@ -86,20 +239,25 @@ type Tree struct {
 // sink are reported as an error — a deployment bug the Configuration Panel
 // would surface.
 func BuildTree(p *Placement, links *Links) (*Tree, error) {
+	ids := p.Nodes()
 	t := &Tree{
-		Parent:   make(map[model.NodeID]model.NodeID),
+		Parent:   make(map[model.NodeID]model.NodeID, len(ids)),
 		Children: make(map[model.NodeID][]model.NodeID),
-		Depth:    make(map[model.NodeID]int),
+		Depth:    make(map[model.NodeID]int, len(ids)),
 		Root:     model.Sink,
 	}
 	t.Depth[model.Sink] = 0
 	frontier := []model.NodeID{model.Sink}
-	visited := map[model.NodeID]bool{model.Sink: true}
+	// Every neighbor id indexes links.adj, so visited can be dense too.
+	visited := make([]bool, max(len(links.adj), 1))
+	visited[model.Sink] = true
 	for len(frontier) > 0 {
 		var next []model.NodeID
 		// Deterministic order: lower-id nodes claim children first, which is
-		// the "first heard" rule with ties broken by id.
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		// the "first heard" rule with ties broken by id. Each node expands
+		// once and its neighbors come sorted, so every Children list is
+		// built in ascending id order.
+		slices.Sort(frontier)
 		for _, u := range frontier {
 			for _, v := range links.Neighbors(u) {
 				if visited[v] {
@@ -114,13 +272,10 @@ func BuildTree(p *Placement, links *Links) (*Tree, error) {
 		}
 		frontier = next
 	}
-	for _, id := range p.Nodes() {
-		if !visited[id] {
+	for _, id := range ids {
+		if int(id) >= len(visited) || !visited[id] {
 			return nil, fmt.Errorf("topo: node %d unreachable from sink", id)
 		}
-	}
-	for _, cs := range t.Children {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	}
 	return t, nil
 }
@@ -320,8 +475,7 @@ func (t *Tree) RemoveNode(dead model.NodeID, links *Links) (orphans []model.Node
 			continue
 		}
 		t.Parent[c] = best
-		t.Children[best] = append(t.Children[best], c)
-		sort.Slice(t.Children[best], func(i, j int) bool { return t.Children[best][i] < t.Children[best][j] })
+		t.Children[best] = insertSorted(t.Children[best], c)
 		refreshDepths(t, c, bestDepth+1)
 	}
 	orphans = make([]model.NodeID, 0, len(detached))
