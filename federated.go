@@ -52,14 +52,6 @@ func withWireFaults(f wire.Faults) OpenOption {
 	return func(c *openConfig) { c.wireFaults = &f }
 }
 
-// withWireLegacy withholds the epoch-round capability from every shard
-// handshake, forcing the per-call protocol — the conformance tests pin the
-// batched round byte-identical to it. Unexported: real deployments
-// negotiate the best protocol both ends speak.
-func withWireLegacy() OpenOption {
-	return func(c *openConfig) { c.wireLegacy = true }
-}
-
 // OpenFederated opens a scenario whose shards are already running as
 // remote processes: addrs[i] is shard i's wire address, index-aligned
 // with the scenario's shard list (a flat scenario takes one address). The
@@ -70,8 +62,8 @@ func withWireLegacy() OpenOption {
 //
 // The returned System is coordinator-only: it holds no local networks
 // (Network returns nil, traffic panels fetch per-shard counters over the
-// wire) and its queries run on the deterministic epoch clock of each
-// cursor, exactly like the in-process deterministic substrate. WithLive
+// wire) and its cursors step on one lock-step scheduler whose shards are
+// the wire clients — one epoch-round frame per shard per epoch. WithLive
 // and WithFaults do not apply — substrate and fault environment are the
 // shard processes' own configuration. Close drops every shard connection;
 // an unreachable shard surfaces on the cursor that steps into it, tagged
@@ -93,28 +85,25 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 		shardScens: shardScens,
 		schema:     query.DefaultSchema(),
 		fedStats:   &fed.Stats{},
-		groupCaps:  make(map[string]int),
-		remoteKeys: make(map[string]*remoteKeyState),
+		wireCfg:    cfg,
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
 	}
-	sys.wireCfg = cfg
-	clients, deps, err := dialShards(s, shardScens, addrs, cfg)
+	clients, err := dialShards(shardScens, addrs, s.Name, cfg)
 	if err != nil {
 		return nil, err
 	}
 	sys.remotes = clients
-	sys.rcoord = engine.NewRemoteCoordinator(deps...)
+	sys.remote = engine.NewScheduler(roundShards(clients)...)
 	return sys, nil
 }
 
-// dialShards dials every shard of a sharded scenario, returning the wire
-// clients and their deployments index-aligned with addrs. On any dial
-// failure the already-open clients close and the error returns.
-func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openConfig) ([]*wire.Client, []*engine.RemoteDeployment, error) {
+// dialShards dials every shard of the scenario named scenario, returning
+// the wire clients index-aligned with addrs. On any dial failure the
+// already-open clients close and the error returns.
+func dialShards(shardScens []*Scenario, addrs []string, scenario string, cfg openConfig) ([]*wire.Client, error) {
 	clients := make([]*wire.Client, 0, len(addrs))
-	deps := make([]*engine.RemoteDeployment, len(addrs))
 	for i, addr := range addrs {
 		// The shard's sensor roster, ascending — the positional frame of
 		// reference both ends derive from the same scenario, letting epoch
@@ -125,39 +114,46 @@ func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openCon
 		}
 		slices.Sort(roster)
 		cl, err := wire.Dial(wire.ClientConfig{
-			Addr:              addr,
-			Scenario:          s.Name,
-			Shard:             i,
-			Shards:            len(shardScens),
-			Nodes:             len(shardScens[i].Nodes),
-			Roster:            roster,
-			DisableEpochRound: cfg.wireLegacy,
-			CallTimeout:       cfg.wireCall,
-			Retries:           cfg.wireRetries,
-			Backoff:           cfg.wireBackoff,
-			Faults:            cfg.wireFaults,
+			Addr:        addr,
+			Scenario:    scenario,
+			Shard:       i,
+			Shards:      len(shardScens),
+			Nodes:       len(shardScens[i].Nodes),
+			Roster:      roster,
+			CallTimeout: cfg.wireCall,
+			Retries:     cfg.wireRetries,
+			Backoff:     cfg.wireBackoff,
+			Faults:      cfg.wireFaults,
 		})
 		if err != nil {
 			for _, prev := range clients {
 				prev.Close()
 			}
-			return nil, nil, err
+			return nil, err
 		}
 		clients = append(clients, cl)
-		deps[i] = engine.NewRemoteDeployment(s.ShardName(i), cl)
 	}
-	return clients, deps, nil
+	return clients, nil
+}
+
+// roundShards views wire clients as the scheduler's shards.
+func roundShards(clients []*wire.Client) []engine.RoundShard {
+	shards := make([]engine.RoundShard, len(clients))
+	for i, cl := range clients {
+		shards[i] = cl
+	}
+	return shards
 }
 
 // Remote reports whether this System coordinates remote shard processes.
-func (s *System) Remote() bool { return s.rcoord != nil }
+func (s *System) Remote() bool { return s.remote != nil }
 
-// remoteClients snapshots the shard client slice under groupMu — the slice
-// is swapped wholesale by a live re-sharding, so readers outside the group
-// lock must copy it rather than range s.remotes directly.
+// remoteClients snapshots the shard client slice — it is swapped
+// wholesale by a live re-sharding, so readers copy it under mu rather than
+// range s.remotes directly.
 func (s *System) remoteClients() []*wire.Client {
-	s.groupMu.Lock()
-	defer s.groupMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return append([]*wire.Client(nil), s.remotes...)
 }
 
@@ -176,8 +172,8 @@ func (s *System) WireMetrics() []wire.ClientMetrics {
 	return out
 }
 
-// nextQueryID allocates a deployment-unique id for a remote query or
-// historic execution.
+// nextQueryID allocates a deployment-unique id for a remote historic
+// execution.
 func (s *System) nextQueryID() uint32 { return s.qidSeq.Add(1) }
 
 // ShardStats returns every shard's traffic/energy counters, in shard

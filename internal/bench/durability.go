@@ -98,13 +98,12 @@ func RunStoreRecoveryBench(b *testing.B) {
 }
 
 // reshardFleet is one side of a migration: a wire server per shard on
-// loopback, its dialed client, and the remote deployment handles the
-// coordinator installs.
+// loopback, its dialed client, and the clients as the scheduler's shards.
 type reshardFleet struct {
 	scens   []*config.Scenario
 	servers []*wire.Server
 	clients []*wire.Client
-	deps    []*engine.RemoteDeployment
+	shards  []engine.RoundShard
 }
 
 func startReshardFleet(scen *config.Scenario) (*reshardFleet, error) {
@@ -145,7 +144,7 @@ func startReshardFleet(scen *config.Scenario) (*reshardFleet, error) {
 			return nil, err
 		}
 		f.clients = append(f.clients, cl)
-		f.deps = append(f.deps, engine.NewRemoteDeployment(scen.ShardName(i), cl))
+		f.shards = append(f.shards, cl)
 	}
 	return f, nil
 }
@@ -179,24 +178,23 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 	}
 	defer func() { cur.close() }()
 
-	const (
-		rqid = 1
-		algo = "mint"
-		sql  = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	)
-	for _, cl := range cur.clients {
-		if err := cl.Attach(rqid, algo, sql); err != nil {
-			return 0, 0, err
-		}
-	}
 	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
 	var fstats fed.Stats
 	merger, err := fed.New(q, fed.Config{}, &fstats)
 	if err != nil {
 		return 0, 0, err
 	}
-	coord := engine.NewRemoteCoordinator(cur.deps...)
-	rq := coord.Schedule("g", rqid, merger.Merge, q.K)
+	sched := engine.NewScheduler(cur.shards...)
+	sq, err := sched.Schedule(engine.QuerySpec{
+		Key:    "g",
+		Attach: engine.Attachment{Algo: "mint", SQL: "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"},
+		K:      q.K,
+		Merge:  merger.Merge,
+		CutK:   q.K,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
 
 	// The background load: one query stepping flat-out — every epoch the
 	// clock runs during a migration ran on the old deployment.
@@ -212,13 +210,8 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 				return
 			default:
 			}
-			out, err := coord.Step(rq)
-			if err != nil {
+			if _, err := sched.Step(sq); err != nil {
 				stepErr = err
-				return
-			}
-			if out.Err != nil {
-				stepErr = out.Err
 				return
 			}
 		}
@@ -244,13 +237,7 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 			return 0, 0, err
 		}
 		start := time.Now()
-		before := coord.EpochNow()
-		for _, cl := range next.clients {
-			if err := cl.Attach(rqid, algo, sql); err != nil {
-				next.close()
-				return 0, 0, err
-			}
-		}
+		before := sched.Epoch()
 		states := make([]storage.ShardState, len(cur.clients))
 		for i, cl := range cur.clients {
 			img, err := cl.Snapshot()
@@ -274,16 +261,16 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 				return 0, 0, fmt.Errorf("bench: reshard restore shard %d: %w", ti, err)
 			}
 		}
-		if err := coord.Install(next.deps); err != nil {
+		if _, err := sched.Install(next.shards); err != nil {
 			next.close()
 			return 0, 0, err
 		}
-		totalDown += int64(coord.EpochNow() - before)
+		totalDown += int64(sched.Epoch() - before)
 		totalNs += time.Since(start).Nanoseconds()
 		old := cur
 		cur = next
 		// In-flight rounds finish on the old connections before they close.
-		coord.Serialized(func() error {
+		sched.Serialized(func() error {
 			for _, cl := range old.clients {
 				cl.Close()
 			}

@@ -10,7 +10,6 @@ import (
 	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
-	"kspot/internal/topk/mint"
 	"kspot/internal/topk/tja"
 )
 
@@ -44,30 +43,28 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 	}
 	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
 	nets := make([]*sim.Network, 0, len(subs))
-	deps := make([]*engine.Deployment, 0, len(subs))
-	ops := make([]engine.EpochRunner, 0, len(subs))
+	shards := make([]engine.RoundShard, 0, len(subs))
 	for i, sub := range subs {
 		net, err := sub.Network()
 		if err != nil {
 			b.Fatal(err)
 		}
-		op := mint.New()
-		if err := op.Attach(net, q); err != nil {
-			b.Fatal(err)
-		}
 		nets = append(nets, net)
-		deps = append(deps, engine.NewDeployment(scen.ShardName(i), net, src))
-		ops = append(ops, op)
+		shards = append(shards, engine.NewLocalShard(scen.ShardName(i), net, src, attachMINT(q)))
 	}
 	var stats fed.Stats
 	merger, err := fed.New(q, fed.Config{}, &stats)
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord := engine.NewCoordinator(deps...)
+	sched := engine.NewScheduler(shards...)
+	sq, err := sched.Schedule(engine.QuerySpec{K: q.K, Merge: merger.Merge})
+	if err != nil {
+		b.Fatal(err)
+	}
 
-	if out := coord.Epoch(0, ops, nil, merger.Merge); out.Err != nil {
-		b.Fatal(out.Err)
+	if _, err := sched.Step(sq); err != nil {
+		b.Fatal(err)
 	}
 	for _, net := range nets {
 		net.Reset()
@@ -76,9 +73,8 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := coord.Epoch(model.Epoch(i+1), ops, nil, merger.Merge)
-		if out.Err != nil {
-			b.Fatal(out.Err)
+		if _, err := sched.Step(sq); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

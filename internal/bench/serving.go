@@ -19,8 +19,20 @@ import (
 	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/serve"
+	"kspot/internal/topk"
 	"kspot/internal/topk/mint"
+	"kspot/internal/trace"
 )
+
+// attachMINT is an engine.Attacher that attaches a fresh MINT operator for
+// q, whatever the attachment names: the benchmarks build their queries in
+// code rather than SQL.
+func attachMINT(q topk.SnapshotQuery) engine.Attacher {
+	return func(tp engine.Transport, _ trace.Source, _ engine.Attachment) (engine.EpochRunner, trace.Source, error) {
+		op := mint.New()
+		return op, nil, op.Attach(tp, q)
+	}
+}
 
 // RunSharedAcquisitionBench steps m same-signature queries over b.N epochs
 // of the standard deployment and reports the sustained queries/sec. With
@@ -32,24 +44,20 @@ func RunSharedAcquisitionBench(b *testing.B, m int, shared bool) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched := engine.NewScheduler(engine.NewDeployment("bench", net, src))
+	sched := engine.NewScheduler(engine.NewLocalShard("bench", net, src, attachMINT(q)))
 	sqs := make([]*engine.ScheduledQuery, 0, m)
 	for i := 0; i < m; i++ {
-		if shared && i > 0 {
-			// Later members join the group's acquisition: no operator of
-			// their own, just a per-member cut over the shared ranking.
-			sqs = append(sqs, sched.Schedule(engine.QuerySpec{Key: "shared", CutK: q.K}))
-			continue
-		}
-		op := mint.New()
-		if err := op.Attach(net, q); err != nil {
-			b.Fatal(err)
-		}
-		spec := engine.QuerySpec{Ops: []engine.EpochRunner{op}, CutK: q.K}
+		// Shared: later members join the group's acquisition — no operator
+		// of their own, just a per-member cut over the shared ranking.
+		spec := engine.QuerySpec{K: q.K, CutK: q.K}
 		if shared {
 			spec.Key = "shared"
 		}
-		sqs = append(sqs, sched.Schedule(spec))
+		sq, err := sched.Schedule(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sqs = append(sqs, sq)
 	}
 	step := func() {
 		for _, sq := range sqs {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"kspot/internal/model"
-	"kspot/internal/trace"
 )
 
 // MergeFunc combines per-shard answer rankings into the global answer —
@@ -15,203 +14,41 @@ import (
 // deployments (the answers pass through).
 type MergeFunc func(shardAnswers [][]model.Answer) ([]model.Answer, error)
 
-// Coordinator drives a set of shard Deployments through lock-step epochs
-// and merges their answers: the federation tier of a sharded KSpot system,
-// standing in for the wired backhaul above the shard base stations. A
-// single-deployment Coordinator degenerates to the flat epoch loop.
-//
-// The Coordinator itself is stateless apart from its deployment list; all
-// methods are safe for concurrent use when every shard substrate is (the
-// live substrate). The deterministic simulator is single-threaded per
-// shard, but distinct shards are distinct state machines and may advance
-// concurrently.
-type Coordinator struct {
-	deps []*Deployment
-}
-
-// NewCoordinator builds a coordinator over the shard deployments.
-func NewCoordinator(deps ...*Deployment) *Coordinator {
-	if len(deps) == 0 {
-		panic("engine: coordinator needs at least one deployment")
-	}
-	return &Coordinator{deps: deps}
-}
-
-// Deployments returns the shard deployments, in shard order.
-func (c *Coordinator) Deployments() []*Deployment { return c.deps }
-
-// Shards returns the number of shard deployments.
-func (c *Coordinator) Shards() int { return len(c.deps) }
-
-// SenseEpoch idle-charges and senses every shard exactly once for the
-// epoch, returning per-shard readings (index-aligned with Deployments).
-// The maps are shared read-only state, like Transport sensing itself.
-func (c *Coordinator) SenseEpoch(e model.Epoch) []map[model.NodeID]model.Reading {
-	shard := c.PresampleEpoch(e)
-	c.CommitSenseEpoch(e, shard)
-	return shard
-}
-
-// PresampleEpoch samples every shard for the epoch without charging — the
-// pure half of SenseEpoch, safe to run on a background goroutine while a
-// previous epoch's merge stage is in flight (see engine.PresampleEpoch).
-func (c *Coordinator) PresampleEpoch(e model.Epoch) []map[model.NodeID]model.Reading {
-	out := make([]map[model.NodeID]model.Reading, len(c.deps))
-	for i, d := range c.deps {
-		out[i] = PresampleEpoch(d.tp, d.src, e)
-	}
-	return out
-}
-
-// CommitSenseEpoch applies the deferred idle/sensing accounting of a
-// presampled epoch to every shard, index-aligned with Deployments.
-func (c *Coordinator) CommitSenseEpoch(e model.Epoch, shard []map[model.NodeID]model.Reading) {
-	for i, d := range c.deps {
-		CommitSenseEpoch(d.tp, e, shard[i])
-	}
-}
-
-// RunQuery runs one query's per-shard runners over an already-sensed
-// epoch and merges the shard answers: acquire then mergeAcquisition. ops
-// must be index-aligned with the deployments. src, when non-nil, overrides
-// the per-node readings for this query only (node-local window
-// aggregation) — re-derived per shard without re-charging the shared
-// sensing. sharedUnion, when non-nil, is the precomputed union of the
-// shared readings, reused for every query without an override source (the
-// scheduler computes it once per epoch; pass nil to have it derived here).
-//
-// A shard whose acquisition fails surfaces its error on the returned
-// Outcome; the remaining shards still complete their epoch, so one broken
-// shard cannot wedge the lock-step of the others.
-func (c *Coordinator) RunQuery(e model.Epoch, ops []EpochRunner, shared []map[model.NodeID]model.Reading, sharedUnion map[model.NodeID]model.Reading, src trace.Source, merge MergeFunc) Outcome {
-	a, err := c.acquire(e, ops, shared, src)
-	if err != nil {
-		return Outcome{Epoch: e, Err: err}
-	}
-	return c.mergeAcquisition(e, a, sharedUnion, merge)
-}
-
-// acquisition carries one query's per-shard epoch results between the
-// acquire and merge stages of a federated epoch — the seam the scheduler
-// pipelines across: everything that touches a transport happens in
-// acquire, so by the time an acquisition exists the epoch's sensing of the
-// *next* epoch may safely begin.
-type acquisition struct {
-	perShard [][]model.Answer
-	readings []map[model.NodeID]model.Reading
-	errs     []error
-	override bool // readings were derived from a query-local source
-}
-
-// acquire runs the per-shard epoch runners. Shard acquisitions run
-// concurrently on every substrate: distinct shards are distinct state
-// machines (their own network, link rng, ledger, counters and operator
-// instances) on the deterministic simulator just as on the live one, so
-// per-shard accounting is reproducible regardless of interleaving.
-func (c *Coordinator) acquire(e model.Epoch, ops []EpochRunner, shared []map[model.NodeID]model.Reading, src trace.Source) (*acquisition, error) {
-	if len(ops) != len(c.deps) {
-		return nil, fmt.Errorf("engine: %d runners for %d shards", len(ops), len(c.deps))
-	}
-	a := &acquisition{
-		perShard: make([][]model.Answer, len(c.deps)),
-		readings: shared,
-		errs:     make([]error, len(c.deps)),
-		override: src != nil,
-	}
-	if src != nil {
-		a.readings = make([]map[model.NodeID]model.Reading, len(c.deps))
-	}
-	run := func(i int) {
-		if src != nil {
-			// Derive over the sensed node set, not the transport's live
-			// aliveness: an earlier acquisition of this epoch may already
-			// have fired churn flips, and a shared epoch's queries must see
-			// the same node set an independent run would.
-			a.readings[i] = DeriveReadings(shared[i], src, e)
-		}
-		a.perShard[i], a.errs[i] = ops[i].Epoch(e, a.readings[i])
-	}
-	if len(c.deps) > 1 {
-		var wg sync.WaitGroup
-		for i := range c.deps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		run(0)
-	}
-	return a, nil
-}
-
-// mergeAcquisition runs the coordinator-tier merge over a finished
-// acquisition — pure in-memory work, no transport access.
-func (c *Coordinator) mergeAcquisition(e model.Epoch, a *acquisition, sharedUnion map[model.NodeID]model.Reading, merge MergeFunc) Outcome {
-	union := sharedUnion
-	if a.override || union == nil {
-		union = MergeReadings(a.readings)
-	}
-	out := Outcome{Epoch: e, Readings: union}
-	for i, err := range a.errs {
-		if err != nil {
-			out.Err = fmt.Errorf("engine: shard %s: %w", c.deps[i].name, err)
-			return out
-		}
-	}
+// mergeShards runs a member's merge over the per-shard rankings.
+func mergeShards(merge MergeFunc, perShard [][]model.Answer) ([]model.Answer, error) {
 	if merge == nil {
-		if len(c.deps) != 1 {
-			out.Err = fmt.Errorf("engine: %d shards need a merge function", len(c.deps))
-			return out
+		if len(perShard) != 1 {
+			return nil, fmt.Errorf("engine: %d shards need a merge function", len(perShard))
 		}
-		out.Answers = a.perShard[0]
-		return out
+		return perShard[0], nil
 	}
-	out.Answers, out.Err = merge(a.perShard)
-	return out
+	return merge(perShard)
 }
 
-// Epoch senses and runs one full federated epoch for a single posted
-// query — the deterministic cursor's step. An invoked epoch always runs
-// to completion (shard fan-out goroutines are joined before returning);
-// callers observe cancellation *between* epochs, before consuming an
-// epoch number — otherwise a cancelled step would skip its epoch from
-// the stream.
-func (c *Coordinator) Epoch(e model.Epoch, ops []EpochRunner, src trace.Source, merge MergeFunc) Outcome {
-	shared := c.SenseEpoch(e)
-	return c.RunQuery(e, ops, shared, nil, src, merge)
-}
-
-// RunShards invokes fn once per shard deployment — concurrently when
-// parallel (the live substrate, where every shard is its own goroutine-
-// per-node network), in shard order otherwise — and returns the first
-// error by shard order, tagged with the shard's name. It is the one-shot
-// analogue of RunQuery's per-shard fan-out: the federated historic path
-// uses it to run per-shard window protocols with the same shard-indexing
-// discipline the epoch loop uses, so results land index-aligned with
-// Deployments.
-func (c *Coordinator) RunShards(parallel bool, fn func(i int, d *Deployment) error) error {
-	errs := make([]error, len(c.deps))
-	if parallel && len(c.deps) > 1 {
+// RunShards invokes fn once per shard and returns the first error by
+// shard order, tagged with the shard's name. Shards run concurrently:
+// distinct shards are distinct state machines (their own network, link
+// rng, ledger, counters and operators, or their own process behind a
+// socket), so per-shard results are reproducible regardless of
+// interleaving. A single shard runs on the caller's goroutine.
+func RunShards(shards []RoundShard, fn func(i int, sh RoundShard) error) error {
+	errs := make([]error, len(shards))
+	if len(shards) == 1 {
+		errs[0] = fn(0, shards[0])
+	} else {
 		var wg sync.WaitGroup
-		for i := range c.deps {
+		for i, sh := range shards {
 			wg.Add(1)
-			go func(i int) {
+			go func(i int, sh RoundShard) {
 				defer wg.Done()
-				errs[i] = fn(i, c.deps[i])
-			}(i)
+				errs[i] = fn(i, sh)
+			}(i, sh)
 		}
 		wg.Wait()
-	} else {
-		for i := range c.deps {
-			errs[i] = fn(i, c.deps[i])
-		}
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("engine: shard %s: %w", c.deps[i].name, err)
+			return fmt.Errorf("engine: shard %s: %w", shards[i].Name(), err)
 		}
 	}
 	return nil

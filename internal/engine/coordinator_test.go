@@ -11,15 +11,65 @@ import (
 	"kspot/internal/config"
 	"kspot/internal/engine"
 	"kspot/internal/model"
+	"kspot/internal/sim"
 	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
 	"kspot/internal/topk/mint"
+	"kspot/internal/trace"
 )
+
+// fixed is an Attacher handing out pre-built runners by the attachment's
+// SQL — the engine tests schedule operators they built themselves.
+func fixed(runners map[string]engine.EpochRunner) engine.Attacher {
+	return func(_ engine.Transport, _ trace.Source, a engine.Attachment) (engine.EpochRunner, trace.Source, error) {
+		r, ok := runners[a.SQL]
+		if !ok {
+			return nil, nil, fmt.Errorf("no runner %q", a.SQL)
+		}
+		return r, nil, nil
+	}
+}
+
+// attachOp is an Attacher attaching a fresh operator for q on each shard.
+func attachOp(newOp func() topk.SnapshotOperator, q topk.SnapshotQuery) engine.Attacher {
+	return func(tp engine.Transport, _ trace.Source, _ engine.Attachment) (engine.EpochRunner, trace.Source, error) {
+		op := newOp()
+		return op, nil, op.Attach(tp, q)
+	}
+}
+
+func newMint() topk.SnapshotOperator { return mint.New() }
+
+// schedule schedules a private query, failing the test on error.
+func schedule(t *testing.T, sched *engine.Scheduler, spec engine.QuerySpec) *engine.ScheduledQuery {
+	t.Helper()
+	sq, err := sched.Schedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sq
+}
+
+// figure1Shard is a deterministic Figure-1 shard whose groups run the
+// given runners.
+func figure1Shard(t *testing.T, runners map[string]engine.EpochRunner) (*engine.LocalShard, *sim.Network) {
+	t.Helper()
+	scen := config.Figure1Scenario()
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewLocalShard("solo", net, src, fixed(runners)), net
+}
 
 // fedSetup builds a sharded Figure-3 deployment on the chosen substrate:
 // per-shard networks sharing the flat trace source, MINT attached per
-// shard, and a fed merger — plus the flat oracle pieces to compare with.
-func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.EpochRunner, merge engine.MergeFunc, cleanup func()) {
+// shard, and a fed merger.
+func fedSetup(t *testing.T, live bool, q topk.SnapshotQuery) (shards []engine.RoundShard, merge engine.MergeFunc, cleanup func()) {
 	t.Helper()
 	scen := config.Figure3Scenario()
 	if err := scen.AutoShard(2); err != nil {
@@ -33,7 +83,6 @@ func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	var stops []func()
 	for i, sub := range subs {
 		net, err := sub.Network()
@@ -48,18 +97,13 @@ func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.
 			stops = append(stops, func() { l.Stop(); cancel() })
 			tp = l
 		}
-		op := mint.New()
-		if err := op.Attach(tp, q); err != nil {
-			t.Fatal(err)
-		}
-		deps = append(deps, engine.NewDeployment(scen.ShardName(i), tp, src))
-		ops = append(ops, op)
+		shards = append(shards, engine.NewLocalShard(scen.ShardName(i), tp, src, attachOp(newMint, q)))
 	}
 	m, err := fed.New(q, fed.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deps, ops, m.Merge, func() {
+	return shards, m.Merge, func() {
 		for _, stop := range stops {
 			stop()
 		}
@@ -73,13 +117,15 @@ func TestCoordinatorFederatedEpochs(t *testing.T) {
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	for _, live := range []bool{false, true} {
 		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
-			deps, ops, merge, cleanup := fedSetup(t, live)
+			shards, merge, cleanup := fedSetup(t, live, q)
 			defer cleanup()
-			coord := engine.NewCoordinator(deps...)
+			sched := engine.NewScheduler(shards...)
+			defer sched.Close()
+			sq := schedule(t, sched, engine.QuerySpec{K: q.K, Merge: merge})
 			for e := model.Epoch(0); e < 10; e++ {
-				out := coord.Epoch(e, ops, nil, merge)
-				if out.Err != nil {
-					t.Fatalf("epoch %d: %v", e, out.Err)
+				out, err := sched.Step(sq)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
 				}
 				exact := topk.ExactSnapshot(out.Readings, q)
 				if !model.EqualAnswers(out.Answers, exact) {
@@ -109,18 +155,10 @@ func (r okRunner) Epoch(model.Epoch, map[model.NodeID]model.Reading) ([]model.An
 // must surface the error on its own posting cursor, while the lock-step
 // keeps serving the healthy query — no wedge, no cross-contamination.
 func TestSchedulerShardErrorPropagation(t *testing.T) {
-	scen := config.Figure1Scenario()
-	net, err := scen.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := scen.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
-	bad := sched.Add([]engine.EpochRunner{errorRunner{}}, nil, nil)
-	good := sched.Add([]engine.EpochRunner{okRunner{g: 3}}, nil, nil)
+	shard, _ := figure1Shard(t, map[string]engine.EpochRunner{"bad": errorRunner{}, "good": okRunner{g: 3}})
+	sched := engine.NewScheduler(shard)
+	bad := schedule(t, sched, engine.QuerySpec{Attach: engine.Attachment{SQL: "bad"}})
+	good := schedule(t, sched, engine.QuerySpec{Attach: engine.Attachment{SQL: "good"}})
 
 	for i := 0; i < 4; i++ {
 		if _, err := sched.Step(bad); err == nil {
@@ -140,35 +178,34 @@ func TestSchedulerShardErrorPropagation(t *testing.T) {
 	}
 }
 
-// slowRunner blocks each epoch until released, so a test can hold an
-// epoch in flight while it cancels a StepContext.
-type slowRunner struct {
+// slowShard is a background-capable shard whose rounds block until
+// released, so a test can hold an epoch in flight while it cancels a
+// StepContext.
+type slowShard struct {
 	enter chan struct{}
 	gate  chan struct{}
 }
 
-func (r *slowRunner) Epoch(e model.Epoch, _ map[model.NodeID]model.Reading) ([]model.Answer, error) {
+func (*slowShard) Name() string                           { return "slow" }
+func (*slowShard) Attach(uint32, engine.Attachment) error { return nil }
+func (*slowShard) Detach(uint32) error                    { return nil }
+func (r *slowShard) EpochRound(e model.Epoch, ids []uint32) (map[model.NodeID]model.Reading, []engine.GroupResult, error) {
 	r.enter <- struct{}{}
 	<-r.gate
-	return []model.Answer{{Group: model.GroupID(e + 1), Score: model.Value(e)}}, nil
+	res := make([]engine.GroupResult, len(ids))
+	for i := range res {
+		res[i].Answers = []model.Answer{{Group: model.GroupID(e + 1), Score: model.Value(e)}}
+	}
+	return nil, res, nil
 }
 
 // TestSchedulerStepContext: a cancelled StepContext returns promptly, the
 // in-flight epoch completes in the background, and its outcome is
 // re-buffered — the next Step sees the epoch stream without a gap.
 func TestSchedulerStepContext(t *testing.T) {
-	scen := config.Figure1Scenario()
-	net, err := scen.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := scen.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
-	r := &slowRunner{enter: make(chan struct{}, 1), gate: make(chan struct{})}
-	sq := sched.Add([]engine.EpochRunner{r}, nil, nil)
+	r := &slowShard{enter: make(chan struct{}, 1), gate: make(chan struct{})}
+	sched := engine.NewScheduler(r)
+	sq := schedule(t, sched, engine.QuerySpec{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -199,17 +236,9 @@ func TestSchedulerStepContext(t *testing.T) {
 // a fresh epoch for nothing — no work starts, no energy is charged, and
 // the epoch stream still begins at 0 for the next live Step.
 func TestSchedulerStepContextExpired(t *testing.T) {
-	scen := config.Figure1Scenario()
-	net, err := scen.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := scen.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
-	sq := sched.Add([]engine.EpochRunner{okRunner{g: 1}}, nil, nil)
+	shard, net := figure1Shard(t, map[string]engine.EpochRunner{"ok": okRunner{g: 1}})
+	sched := engine.NewScheduler(shard)
+	sq := schedule(t, sched, engine.QuerySpec{Attach: engine.Attachment{SQL: "ok"}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 3; i++ {
@@ -232,46 +261,44 @@ func TestSchedulerStepContextExpired(t *testing.T) {
 	}
 }
 
-// TestRunShards: the one-shot per-shard fan-out visits every deployment
-// index-aligned (sequential and parallel), and the first error by shard
-// order comes back tagged with the shard's name.
+// namedShard is a RoundShard stub that only has a name.
+type namedShard struct {
+	engine.RoundShard
+	name string
+}
+
+func (n namedShard) Name() string { return n.name }
+
+// TestRunShards: the per-shard fan-out visits every shard index-aligned,
+// and the first error by shard order comes back tagged with the shard's
+// name.
 func TestRunShards(t *testing.T) {
-	deps := make([]*engine.Deployment, 3)
-	for i := range deps {
-		scen := config.Figure1Scenario()
-		net, err := scen.Network()
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := scen.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		deps[i] = engine.NewDeployment(fmt.Sprintf("shard-%d", i), net, src)
+	shards := make([]engine.RoundShard, 3)
+	for i := range shards {
+		shards[i] = namedShard{name: fmt.Sprintf("shard-%d", i)}
 	}
-	coord := engine.NewCoordinator(deps...)
-	for _, parallel := range []bool{false, true} {
+	for _, n := range []int{1, 3} {
 		var mu sync.Mutex
-		seen := make(map[int]*engine.Deployment)
-		err := coord.RunShards(parallel, func(i int, d *engine.Deployment) error {
+		seen := make(map[int]engine.RoundShard)
+		err := engine.RunShards(shards[:n], func(i int, sh engine.RoundShard) error {
 			mu.Lock()
-			seen[i] = d
+			seen[i] = sh
 			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seen) != len(deps) {
-			t.Fatalf("parallel=%v: visited %d shards, want %d", parallel, len(seen), len(deps))
+		if len(seen) != n {
+			t.Fatalf("visited %d shards, want %d", len(seen), n)
 		}
-		for i, d := range deps {
-			if seen[i] != d {
-				t.Fatalf("parallel=%v: shard %d got deployment %q", parallel, i, seen[i].Name())
+		for i, sh := range shards[:n] {
+			if seen[i] != sh {
+				t.Fatalf("shard %d got %v", i, seen[i])
 			}
 		}
 	}
-	err := coord.RunShards(true, func(i int, d *engine.Deployment) error {
+	err := engine.RunShards(shards, func(i int, _ engine.RoundShard) error {
 		if i >= 1 {
 			return fmt.Errorf("boom %d", i)
 		}

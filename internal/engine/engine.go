@@ -16,9 +16,12 @@
 // operator attached to one returns the same answers and the same message
 // counts on the other (engine's equivalence test pins this, under -race).
 //
-// The package also provides the multi-query Scheduler: one deployment
-// serving several posted cursors in epoch lock-step, sensing each epoch
-// once and running every operator's acquisition concurrently.
+// The package also defines the epoch round once: a RoundShard senses an
+// epoch and runs every attached acquisition group's epoch in one call —
+// LocalShard in process, internal/wire's Client over a socket — and the
+// multi-query Scheduler drives any set of them in epoch lock-step,
+// grouping same-signature queries onto one acquisition and merging the
+// shards' rankings at the coordinator tier.
 package engine
 
 import (

@@ -10,7 +10,6 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
-	"kspot/internal/topk/mint"
 )
 
 // pipelineRun drives one MINT query over the Figure-3 deployment with a
@@ -29,15 +28,12 @@ func pipelineRun(t *testing.T, pipelined bool, epochs int) ([]engine.Outcome, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
-	defer sched.Close()
-	sched.SetPipelining(pipelined)
-	op := mint.New()
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if err := op.Attach(net, q); err != nil {
-		t.Fatal(err)
-	}
-	sq := sched.Add([]engine.EpochRunner{op}, nil, nil)
+	shard := engine.NewLocalShard("figure3", net, src, attachOp(newMint, q))
+	shard.SetPipelining(pipelined)
+	sched := engine.NewScheduler(shard)
+	defer sched.Close()
+	sq := schedule(t, sched, engine.QuerySpec{K: q.K})
 	outs := make([]engine.Outcome, 0, epochs)
 	for i := 0; i < epochs; i++ {
 		out, err := sched.Step(sq)
@@ -109,14 +105,11 @@ func TestSchedulerCloseMidPipelineDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
-	sched.SetPipelining(true)
-	op := mint.New()
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if err := op.Attach(net, q); err != nil {
-		t.Fatal(err)
-	}
-	sq := sched.Add([]engine.EpochRunner{op}, nil, nil)
+	shard := engine.NewLocalShard("figure3", net, src, attachOp(newMint, q))
+	shard.SetPipelining(true)
+	sched := engine.NewScheduler(shard)
+	sq := schedule(t, sched, engine.QuerySpec{K: q.K})
 	for i := 0; i < 3; i++ {
 		out, err := sched.Step(sq)
 		if err != nil {

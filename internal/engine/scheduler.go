@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 
 	"kspot/internal/model"
-	"kspot/internal/trace"
 )
 
 // EpochRunner is the slice of an attached snapshot operator the scheduler
@@ -22,9 +22,9 @@ type Outcome struct {
 	Answers []model.Answer
 	// Readings are the epoch's per-node inputs as this query saw them,
 	// unioned across every shard (shared across queries unless the query
-	// declared its own source). Treat as read-only.
+	// derives its own inputs). Treat as read-only.
 	Readings map[model.NodeID]model.Reading
-	// Err is the operator's (or merge's) error for this epoch, if any.
+	// Err is the shard's (or merge's) error for this epoch, if any.
 	Err error
 }
 
@@ -47,37 +47,35 @@ type ScheduledQuery struct {
 	removed bool
 }
 
-// acqGroup is one shared in-network acquisition: the per-shard runners and
-// override source that every member query's answers derive from. Queries
-// scheduled under the same non-empty key join one group — the network runs
-// ONE acquisition per group per epoch and the members' merges fan out from
-// it at the base station. A query scheduled without a key gets a private
-// singleton group (the pre-sharing behavior).
+// acqGroup is one shared in-network acquisition: the attachment every
+// shard holds under id, acquired once per epoch and fanned out to every
+// member's own merge and TOP-K cut. Queries scheduled under the same
+// non-empty key join one group; a query scheduled without a key gets a
+// private singleton group.
 type acqGroup struct {
 	key     string
-	ops     []EpochRunner // one per shard deployment
-	src     trace.Source  // nil → the deployment's shared readings
+	id      uint32     // the attachment id on every shard
+	att     Attachment // what was attached, replayed by Install
+	k       int        // the ranking depth the attachment acquires
 	members []*ScheduledQuery
 }
 
-// QuerySpec declares one query's seat for Schedule. When Key names an
-// existing group, Ops and Src are ignored — the query joins the group's
-// shared acquisition and only its own Merge/CutK stage runs per epoch.
+// QuerySpec declares one query's seat for Schedule.
 type QuerySpec struct {
 	// Key is the shared-acquisition key (kspot derives it from the plan's
 	// SenseKey plus the resolved algorithm). Empty = private acquisition.
 	Key string
-	// Ops is one acquisition runner per shard deployment, index-aligned
-	// with the coordinator's Deployments. Used only when the key's group
-	// does not exist yet (or Key is empty).
-	Ops []EpochRunner
+	// Attach is the acquisition every shard sets up when the key's group
+	// does not exist yet, or when K widens it.
+	Attach Attachment
+	// K is the ranking depth Attach acquires. A member whose K exceeds its
+	// group's re-attaches the group at the wider depth; the narrower
+	// attachment is detached.
+	K int
 	// Merge is this query's own coordinator-tier merge (nil on flat
 	// deployments). Members of one group each run their own merge over the
 	// group's shared per-shard rankings.
 	Merge MergeFunc
-	// Src, when non-nil, overrides the per-node readings for the group
-	// (node-local window aggregation). Like Ops, it binds at group creation.
-	Src trace.Source
 	// CutK, when > 0, caps this member's merged answers at the top CutK of
 	// the group ranking — the per-tenant TOP-K cut above the shared view. A
 	// group acquiring at a wider K than a member asked for hands the member
@@ -85,188 +83,207 @@ type QuerySpec struct {
 	CutK int
 }
 
-// Scheduler drives several queries over one federated deployment — N
-// shard Deployments behind one Coordinator — in epoch lock-step: each
-// epoch every shard is sensed once (one idle charge, one sensing sweep per
-// shard) and every scheduled query runs its per-shard acquisitions over
-// the same readings, merging at the coordinator tier. On the live
-// substrate all acquisitions proceed concurrently, across queries and
-// across shards, interleaving their view sweeps over the shared node
-// goroutines. This is how one KSpot server serves many posted cursors
-// without multiplying the per-epoch acquisition cost.
+// Scheduler drives several queries over a set of RoundShards in epoch
+// lock-step: each epoch every shard runs ONE EpochRound — sense once, then
+// one acquisition per group — and every scheduled query merges its
+// group's per-shard rankings at the coordinator tier. Shards round
+// concurrently. This is how one KSpot server serves many posted cursors
+// without multiplying the per-epoch acquisition cost, on in-process shards
+// and on shard processes behind sockets alike.
 //
 // Stepping is demand-driven: the epoch advances when a query with no
 // buffered outcome is stepped, and the outcomes of the other queries are
 // buffered until their cursors catch up. A query whose shard fails
-// mid-sweep receives the error on its own outcome; the lock-step of the
-// remaining queries is never wedged. All methods are safe for concurrent
-// use.
+// receives the error on its own outcome; the lock-step of the remaining
+// queries is never wedged. All methods are safe for concurrent use.
 type Scheduler struct {
-	coord *Coordinator
+	// inline: rounds run on the stepping goroutine (see LocalShard's
+	// Synchronous), so StepContext observes cancellation between epochs.
+	// Fixed at construction.
+	inline bool
 
-	mu       sync.Mutex
-	queries  []*ScheduledQuery
-	groups   []*acqGroup          // acquisition order: one entry per distinct acquisition
-	byKey    map[string]*acqGroup // keyed (shared) groups only
-	epoch    model.Epoch
-	closed   bool
-	pipeline int        // pipelineAuto / pipelineOn / pipelineOff
-	pre      *presample // in-flight background sampling of the next epoch
+	// attachMu serializes group membership and shard attachments
+	// (Schedule, Remove, Install) without holding up epochs: attaches run
+	// outside mu, and group state flips under mu between epochs.
+	attachMu sync.Mutex
+	nextID   uint32
+
+	mu     sync.Mutex
+	shards []RoundShard
+	groups []*acqGroup          // acquisition order: one entry per distinct acquisition
+	byKey  map[string]*acqGroup // keyed (shared) groups only
+	epoch  model.Epoch
+	closed bool
 }
 
-// Pipelining modes: auto enables cross-epoch pipelining on the live
-// substrate only — the deterministic simulator's transports are not safe
-// against out-of-band mutation (SetNodeDown between steps) racing a
-// background sample, while the live substrate serializes those under its
-// own lock.
-const (
-	pipelineAuto = iota
-	pipelineOn
-	pipelineOff
-)
+// synchronous is implemented by shards whose rounds must not outlive a
+// cancelled step (LocalShard over the deterministic simulator).
+type synchronous interface{ Synchronous() bool }
 
-// presample is an in-flight background sampling of the next epoch: the
-// scheduler launches it once an epoch's acquisitions (all transport work)
-// have finished, so it overlaps the merge/fed-round stage. The accounting
-// the synchronous path would have done at sampling time is deferred to
-// CommitSenseEpoch when the epoch is actually consumed — keeping ledgers,
-// budgets and histories byte-identical to the unpipelined run.
-type presample struct {
-	epoch model.Epoch
-	done  chan struct{}
-	shard []map[model.NodeID]model.Reading
-}
-
-// NewScheduler returns a scheduler over the shard deployments.
-func NewScheduler(deps ...*Deployment) *Scheduler {
-	return &Scheduler{coord: NewCoordinator(deps...), byKey: make(map[string]*acqGroup)}
-}
-
-// Coordinator exposes the scheduler's federation tier.
-func (s *Scheduler) Coordinator() *Coordinator { return s.coord }
-
-// SetPipelining forces cross-epoch pipelining on or off, overriding the
-// default (enabled on the live substrate, disabled on the deterministic
-// one). With pipelining on, the next epoch's sensing is sampled on a
-// background goroutine while the current epoch's merge stage runs; its
-// charges are committed when the epoch is consumed, so outcomes and
-// accounting are byte-identical either way. Callers that mutate a
-// deterministic transport out-of-band between steps (SetNodeDown, fault
-// arming) must leave pipelining off there: the background sample reads
-// transport aliveness without a lock.
-func (s *Scheduler) SetPipelining(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on {
-		s.pipeline = pipelineOn
-	} else {
-		s.pipeline = pipelineOff
+// NewScheduler returns a scheduler over the shards.
+func NewScheduler(shards ...RoundShard) *Scheduler {
+	if len(shards) == 0 {
+		panic("engine: scheduler needs at least one shard")
 	}
-	if s.pipeline == pipelineOff && s.pre != nil {
-		<-s.pre.done
-		s.pre = nil
+	s := &Scheduler{shards: shards, byKey: make(map[string]*acqGroup)}
+	for _, sh := range shards {
+		if sy, ok := sh.(synchronous); ok && sy.Synchronous() {
+			s.inline = true
+		}
 	}
-}
-
-// Add schedules an attached query with a private acquisition: one runner
-// per shard deployment (index-aligned with the coordinator's Deployments)
-// and the coordinator merge (nil for single-shard). src, when non-nil,
-// overrides the per-node readings for this query only (e.g. node-local
-// window aggregation); sensing is still charged once per shard, against
-// the shared source. A query joins at the current epoch — earlier
-// outcomes are not replayed.
-func (s *Scheduler) Add(ops []EpochRunner, merge MergeFunc, src trace.Source) *ScheduledQuery {
-	return s.Schedule(QuerySpec{Ops: ops, Merge: merge, Src: src})
+	return s
 }
 
 // Schedule registers a query, joining (or creating) the shared-acquisition
-// group its Key names — see QuerySpec. A query joins at the current epoch;
-// earlier outcomes are not replayed.
-func (s *Scheduler) Schedule(spec QuerySpec) *ScheduledQuery {
+// group its Key names — see QuerySpec. A new or widened group is attached
+// on every shard first; a failed attach schedules nothing. A query joins
+// at the current epoch; earlier outcomes are not replayed.
+func (s *Scheduler) Schedule(spec QuerySpec) (*ScheduledQuery, error) {
+	s.attachMu.Lock()
+	defer s.attachMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sq := &ScheduledQuery{merge: spec.Merge, cutK: spec.CutK}
+	if s.closed {
+		s.mu.Unlock()
+		return nil, errClosed
+	}
 	var g *acqGroup
 	if spec.Key != "" {
 		g = s.byKey[spec.Key]
 	}
-	if g == nil {
-		g = &acqGroup{key: spec.Key, ops: spec.Ops, src: spec.Src}
-		s.groups = append(s.groups, g)
-		if spec.Key != "" {
-			s.byKey[spec.Key] = g
+	shards := s.shards
+	s.mu.Unlock()
+
+	var widened uint32
+	if g == nil || spec.K > g.k {
+		s.nextID++
+		id := s.nextID
+		if err := attachAll(shards, id, spec.Attach); err != nil {
+			return nil, err
 		}
+		s.mu.Lock()
+		if g == nil {
+			g = &acqGroup{key: spec.Key}
+			s.groups = append(s.groups, g)
+			if spec.Key != "" {
+				s.byKey[spec.Key] = g
+			}
+		} else {
+			widened = g.id
+		}
+		g.id, g.att, g.k = id, spec.Attach, spec.K
+	} else {
+		s.mu.Lock()
 	}
-	sq.group = g
+	sq := &ScheduledQuery{group: g, merge: spec.Merge, cutK: spec.CutK}
 	g.members = append(g.members, sq)
-	s.queries = append(s.queries, sq)
-	return sq
-}
-
-// GroupSize reports how many scheduled queries share the key's
-// acquisition group (0: no such group).
-func (s *Scheduler) GroupSize(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g := s.byKey[key]; g != nil {
-		return len(g.members)
+	s.mu.Unlock()
+	if widened != 0 {
+		// No epoch acquires the narrower attachment any more.
+		detachAll(shards, widened)
 	}
-	return 0
-}
-
-// WidenGroup replaces a shared group's acquisition runners — the K-cap
-// escalation path: when a new member needs a wider in-network acquisition
-// than the group was created with (a larger TOP K under the same sensing
-// signature), the caller attaches fresh runners at the wider K and swaps
-// them in before scheduling the member. The replaced runners' views are
-// simply abandoned; the new runners re-run their creation phase on their
-// next epoch, exactly as a newly posted query would.
-func (s *Scheduler) WidenGroup(key string, ops []EpochRunner) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.byKey[key]
-	if g == nil {
-		return fmt.Errorf("engine: no shared-acquisition group %q to widen", key)
-	}
-	g.ops = ops
-	return nil
+	return sq, nil
 }
 
 // Remove unschedules a query; its buffered outcomes are discarded. The
-// last member leaving a shared group dissolves the group — a later
-// Schedule under the same key creates a fresh acquisition.
+// last member leaving a group dissolves it and detaches it from every
+// shard — a later Schedule under the same key attaches afresh.
 func (s *Scheduler) Remove(sq *ScheduledQuery) {
+	s.attachMu.Lock()
+	defer s.attachMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sq.removed = true
-	sq.pending = nil
-	for i, q := range s.queries {
-		if q == sq {
-			s.queries = append(s.queries[:i], s.queries[i+1:]...)
-			break
-		}
-	}
-	g := sq.group
-	if g == nil {
+	if sq.removed {
+		s.mu.Unlock()
 		return
 	}
-	for i, m := range g.members {
-		if m == sq {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
-	}
-	if len(g.members) == 0 {
-		for i, gg := range s.groups {
-			if gg == g {
-				s.groups = append(s.groups[:i], s.groups[i+1:]...)
-				break
-			}
-		}
+	sq.removed = true
+	sq.pending = nil
+	g := sq.group
+	g.members = deleteFirst(g.members, sq)
+	dissolved := len(g.members) == 0
+	if dissolved {
+		s.groups = deleteFirst(s.groups, g)
 		if g.key != "" {
 			delete(s.byKey, g.key)
 		}
 	}
+	shards := s.shards
+	s.mu.Unlock()
+	if dissolved {
+		detachAll(shards, g.id)
+	}
+}
+
+func deleteFirst[T comparable](xs []T, x T) []T {
+	for i, y := range xs {
+		if y == x {
+			return append(xs[:i], xs[i+1:]...)
+		}
+	}
+	return xs
+}
+
+// attachAll attaches id on every shard; on failure the shards that did
+// attach are detached again.
+func attachAll(shards []RoundShard, id uint32, a Attachment) error {
+	attached := make([]bool, len(shards))
+	err := RunShards(shards, func(i int, sh RoundShard) error {
+		if err := sh.Attach(id, a); err != nil {
+			return err
+		}
+		attached[i] = true
+		return nil
+	})
+	if err != nil {
+		for i, sh := range shards {
+			if attached[i] {
+				sh.Detach(id)
+			}
+		}
+	}
+	return err
+}
+
+// detachAll detaches id from every shard, best effort: a shard that
+// cannot be reached has nothing left to acquire under id anyway.
+func detachAll(shards []RoundShard, id uint32) {
+	RunShards(shards, func(_ int, sh RoundShard) error { return sh.Detach(id) })
+}
+
+// Install replaces the scheduler's shards — the final step of a live
+// re-sharding migration. Every group is first attached on the new shards
+// under its existing id while epochs keep running on the old ones; then
+// taking the epoch lock IS the drain: no epoch round or Serialized run
+// can be in flight while the swap happens, and the next epoch fans out to
+// the new shards. The epoch clock, the groups and every buffered outcome
+// carry over untouched. It returns how many groups were re-attached. The
+// old shards are the caller's to close (serialized, see Serialized).
+func (s *Scheduler) Install(shards []RoundShard) (int, error) {
+	if len(shards) == 0 {
+		return 0, fmt.Errorf("engine: scheduler needs at least one shard")
+	}
+	s.attachMu.Lock()
+	defer s.attachMu.Unlock()
+	s.mu.Lock()
+	groups := append([]*acqGroup(nil), s.groups...)
+	s.mu.Unlock()
+	for _, g := range groups {
+		if err := attachAll(shards, g.id, g.att); err != nil {
+			return 0, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shards = shards
+	return len(groups), nil
+}
+
+// Serialized runs fn while holding the epoch lock: one-shot multi-call
+// protocols (the federated historic threshold round over shard processes)
+// run atomically with respect to epoch rounds on the shard state machines.
+func (s *Scheduler) Serialized(fn func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fn()
 }
 
 // Epoch returns the next epoch number the scheduler will run.
@@ -291,13 +308,18 @@ func (s *Scheduler) Step(sq *ScheduledQuery) (Outcome, error) {
 // the query's queue, so the next Step observes the epoch stream without a
 // gap (the per-query stepMu holds later steps out until the hand-back
 // lands). Nothing leaks: the in-flight epoch runs to completion on the
-// scheduler's own goroutine and the substrate's workers are untouched.
+// scheduler's own goroutine. On synchronous shards (the deterministic
+// simulator) cancellation is observed between epochs instead: an epoch,
+// once demanded, runs to completion on the caller's goroutine.
 func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcome, error) {
 	// An already-expired context never starts work: stepping with a dead
 	// ctx would run (and charge) a full epoch in the background on every
 	// call, draining node budgets for a caller that consumes nothing.
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
+	}
+	if s.inline || ctx.Done() == nil {
+		return s.Step(sq)
 	}
 	type stepRes struct {
 		out Outcome
@@ -347,12 +369,10 @@ func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
 }
 
 // pushFront re-buffers an outcome a cancelled StepContext abandoned, so
-// the epoch stream stays gapless for the next Step. On a closed or
-// removed scheduler seat the outcome is dropped instead: no Step can ever
-// consume it (step refuses first), so re-buffering would only pin the
-// epoch's readings map alive behind a cursor the caller still holds —
-// the federated teardown path (one shard's cancelled epoch re-buffering
-// while the deployment Closes) must not retain dead state.
+// the epoch stream stays gapless for the next Step. On a closed scheduler
+// or a removed seat the outcome is dropped instead: no Step can ever
+// consume it, so re-buffering would only pin the epoch's readings alive
+// behind a cursor the caller still holds.
 func (s *Scheduler) pushFront(sq *ScheduledQuery, out Outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -362,17 +382,21 @@ func (s *Scheduler) pushFront(sq *ScheduledQuery, out Outcome) {
 	sq.pending = append([]Outcome{out}, sq.pending...)
 }
 
-// Close rejects further Steps. It blocks until any in-flight epoch has
-// completed — including a pipelined background presample of the next
-// epoch, which is drained and discarded (its charges were never
-// committed) — so the transports can be torn down safely afterwards.
+// Close rejects further Steps and closes every shard that is an
+// io.Closer. It blocks until any in-flight epoch has completed — and the
+// shards' pipelined presamples are drained — so the transports can be
+// torn down safely afterwards. Safe to call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	s.closed = true
-	if s.pre != nil {
-		<-s.pre.done
-		s.pre = nil
+	for _, sh := range s.shards {
+		if c, ok := sh.(io.Closer); ok {
+			c.Close()
+		}
 	}
 }
 
@@ -385,95 +409,70 @@ const (
 	errClosed  = schedulerError("engine: scheduler is closed")
 )
 
-// runEpochLocked executes one shared epoch for every scheduled query in
-// three stages: sensing (consuming the pipelined presample when one is in
-// flight, then committing its deferred charges), acquisition (one
-// per-shard transport sweep per acquisition GROUP — however many member
-// queries each group serves), and merge (pure in-memory, one per member).
-// Between acquisition and merge the transports are quiescent for the rest
-// of the epoch, so that is where the next epoch's background presample
-// launches — the cross-epoch pipeline.
+// runEpochLocked executes one shared epoch for every scheduled query: one
+// EpochRound per shard carrying every group's attachment id, then, per
+// group, the union of the readings it ran on and each member's merge and
+// cut (pure in-memory work). A round failure poisons the epoch for every
+// query; a group failure only that group's members.
 func (s *Scheduler) runEpochLocked() {
 	e := s.epoch
 	s.epoch++
-
-	// Sensing: a pipelined presample for exactly this epoch is consumed;
-	// anything else (stale after SetPipelining toggles) is discarded — its
-	// charges were never committed, so resampling is free of skew.
-	var shard []map[model.NodeID]model.Reading
-	if s.pre != nil {
-		<-s.pre.done
-		if s.pre.epoch == e {
-			shard = s.pre.shard
-		}
-		s.pre = nil
-	}
-	if shard == nil {
-		shard = s.coord.PresampleEpoch(e)
-	}
-	s.coord.CommitSenseEpoch(e, shard)
-	// The union for the oracle is identical for every query without an
-	// override source — compute it once, not once per query.
-	union := MergeReadings(shard)
-
-	// Acquisition: one per group. On the concurrent substrate all group
-	// acquisitions run in parallel, across groups and across shards: the
-	// Live transport supports any number of in-flight sweeps and floods.
-	// The deterministic simulator is a single-threaded state machine per
-	// shard, so there the groups run in sequence (each group still fans
-	// out across shards — distinct shards are distinct state machines).
-	// Decorators (fault injection) are stripped first — they forward
-	// concurrency-safely.
-	_, live := Baseof(s.coord.deps[0].tp).(*Live)
-	acqs := make([]*acquisition, len(s.groups))
-	errs := make([]error, len(s.groups))
-	var wg sync.WaitGroup
+	ids := make([]uint32, len(s.groups))
 	for i, g := range s.groups {
-		if live {
-			wg.Add(1)
-			go func(i int, g *acqGroup) {
-				defer wg.Done()
-				acqs[i], errs[i] = s.coord.acquire(e, g.ops, shard, g.src)
-			}(i, g)
-		} else {
-			acqs[i], errs[i] = s.coord.acquire(e, g.ops, shard, g.src)
+		ids[i] = g.id
+	}
+	n := len(s.shards)
+	sensed := make([]map[model.NodeID]model.Reading, n)
+	results := make([][]GroupResult, n)
+	err := RunShards(s.shards, func(i int, sh RoundShard) error {
+		readings, res, err := sh.EpochRound(e, ids)
+		if err != nil {
+			return err
 		}
+		if len(res) != len(ids) {
+			return fmt.Errorf("epoch round returned %d groups, want %d", len(res), len(ids))
+		}
+		sensed[i], results[i] = readings, res
+		return nil
+	})
+	if err != nil {
+		for _, g := range s.groups {
+			for _, q := range g.members {
+				q.pending = append(q.pending, Outcome{Epoch: e, Err: err})
+			}
+		}
+		return
 	}
-	wg.Wait()
+	// The union for the oracle is identical for every group on the shared
+	// sensing — compute it once, not once per group.
+	union := MergeReadings(sensed)
 
-	// All transport work for epoch e is done; overlap the next epoch's
-	// sensing with the merge stage.
-	if s.pipeline == pipelineOn || (s.pipeline == pipelineAuto && live) {
-		pre := &presample{epoch: e + 1, done: make(chan struct{})}
-		s.pre = pre
-		go func() {
-			pre.shard = s.coord.PresampleEpoch(e + 1)
-			close(pre.done)
-		}()
-	}
-
-	// Merge: coordinator-tier fed rounds, no transport access. Every member
-	// of a group runs its own merge/cut over the group's shared per-shard
-	// rankings (fed.Merger never mutates its inputs), so M same-key tenants
-	// cost M in-memory merges and ONE in-network acquisition.
-	for i, g := range s.groups {
-		ga := acqs[i]
-		gUnion := union
-		if errs[i] == nil && ga.override {
-			// Derive the override union once per group, not once per member;
-			// the flag is cleared so mergeAcquisition trusts the passed union.
-			gUnion = MergeReadings(ga.readings)
-			ga.override = false
+	// Every member of a group runs its own merge/cut over the group's
+	// shared per-shard rankings (fed.Merger never mutates its inputs), so
+	// M same-key tenants cost M in-memory merges and ONE acquisition.
+	derived := make([]map[model.NodeID]model.Reading, n)
+	for gi, g := range s.groups {
+		perShard := make([][]model.Answer, n)
+		var gerr error
+		override := false
+		for i := range results {
+			r := results[i][gi]
+			if r.Err != nil && gerr == nil {
+				gerr = fmt.Errorf("engine: shard %s: %w", s.shards[i].Name(), r.Err)
+			}
+			perShard[i], derived[i] = r.Answers, r.Readings
+			override = override || r.Readings != nil
+		}
+		readings := union
+		if gerr == nil && override {
+			readings = MergeReadings(derived)
 		}
 		for _, q := range g.members {
-			var out Outcome
-			if errs[i] != nil {
-				out = Outcome{Epoch: e, Err: errs[i]}
-			} else {
-				out = s.coord.mergeAcquisition(e, ga, gUnion, q.merge)
-				out = q.cut(out)
+			out := Outcome{Epoch: e, Readings: readings, Err: gerr}
+			if gerr == nil {
+				out.Answers, out.Err = mergeShards(q.merge, perShard)
 			}
-			q.pending = append(q.pending, out)
+			q.pending = append(q.pending, q.cut(out))
 		}
 	}
 }

@@ -32,7 +32,6 @@ func TestSchedulerSharedEpochs(t *testing.T) {
 	live.Start(ctx)
 	defer live.Stop()
 
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
 	q1 := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	q2 := topk.SnapshotQuery{K: 3, Agg: model.AggMax, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	op1 := mint.New()
@@ -43,8 +42,10 @@ func TestSchedulerSharedEpochs(t *testing.T) {
 	if err := op2.Attach(live, q2); err != nil {
 		t.Fatal(err)
 	}
-	sq1 := sched.Add([]engine.EpochRunner{op1}, nil, nil)
-	sq2 := sched.Add([]engine.EpochRunner{op2}, nil, nil)
+	sched := engine.NewScheduler(engine.NewLocalShard("figure3", live, src, fixed(map[string]engine.EpochRunner{"q1": op1, "q2": op2})))
+	defer sched.Close()
+	sq1 := schedule(t, sched, engine.QuerySpec{Attach: engine.Attachment{SQL: "q1"}})
+	sq2 := schedule(t, sched, engine.QuerySpec{Attach: engine.Attachment{SQL: "q2"}})
 
 	const epochs = 8
 	var wg sync.WaitGroup

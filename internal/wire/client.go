@@ -30,15 +30,10 @@ type ClientConfig struct {
 	Nodes    int
 
 	// Roster is the shard's sensor node ids in ascending order — the
-	// positional frame of reference for the batched epoch-round encoding.
-	// Without it the client does not offer CapEpochRound and the session
-	// falls back to the per-call protocol.
+	// positional frame of reference the epoch-round readings are encoded
+	// against. Required: Dial refuses a config whose roster is missing or
+	// disagrees with Nodes.
 	Roster []model.NodeID
-
-	// DisableEpochRound withholds CapEpochRound from the handshake even
-	// when a roster is set, forcing the per-call protocol (tests and the
-	// RTT benchmark compare the two paths).
-	DisableEpochRound bool
 
 	// DialTimeout bounds one connect attempt (default 5s). CallTimeout
 	// bounds one request attempt awaiting its response (default 10s).
@@ -83,21 +78,6 @@ func (c *ClientConfig) backoff() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// offeredCaps is the capability set the client puts in its hello.
-// DisableEpochRound models a pre-batching (and pre-durability) client, so
-// it withholds everything; CapEpochRound additionally needs a roster (the
-// positional frame the batched encoding is relative to).
-func (c *ClientConfig) offeredCaps() uint16 {
-	if c.DisableEpochRound {
-		return 0
-	}
-	caps := CapSnapshot
-	if len(c.Roster) > 0 {
-		caps |= CapEpochRound
-	}
-	return caps
-}
-
 // clientNonce distinguishes client sessions on the server's at-most-once
 // layer: same nonce + same sequence = same request. Process-unique.
 var clientNonce atomic.Uint64
@@ -115,7 +95,7 @@ const latRingCap = 512
 type ClientMetrics struct {
 	Shard     string `json:"shard"`
 	Calls     int64  `json:"calls"`    // completed RPCs (any outcome)
-	Rounds    int64  `json:"rounds"`   // epoch-opening calls (sense / epoch-round)
+	Rounds    int64  `json:"rounds"`   // epoch-round calls
 	Retries   int64  `json:"retries"`  // calls that needed >1 attempt
 	BytesOut  int64  `json:"tx_bytes"` // frames written, headers included
 	BytesIn   int64  `json:"rx_bytes"` // frames read, headers included
@@ -176,13 +156,12 @@ func (cc *clientConn) isDead() bool {
 }
 
 // Client is the coordinator's handle on one remote shard. It implements
-// engine.RemoteShard (and, when the session negotiated CapEpochRound,
-// engine.RemoteRoundShard); its historic executions implement
-// fed.HistoricShard. Calls are synchronous for their caller but pipeline
-// on the connection: a reader goroutine demultiplexes responses by
-// sequence number to per-call waiters, so concurrent calls (overlapped
-// group acquisitions, stats polls, historic rounds) share one socket
-// without queueing behind each other. Each call retries with backoff
+// engine.RoundShard — one MsgEpochRound frame per epoch — and its
+// historic executions implement fed.HistoricShard. Calls are synchronous
+// for their caller but pipeline on the connection: a reader goroutine
+// demultiplexes responses by sequence number to per-call waiters, so
+// concurrent calls (epoch rounds, stats polls, historic rounds) share one
+// socket without queueing behind each other. Each call retries with backoff
 // across timeouts and reconnects, reusing its sequence number so the
 // server executes it at most once; the backoff sleeps only the retrying
 // call. Close interrupts in-flight calls promptly.
@@ -190,11 +169,9 @@ type Client struct {
 	cfg   ClientConfig
 	nonce uint64
 
-	// name is the shard display name and caps the negotiated capability
-	// set (offered ∩ granted), both from the welcome. Reconnects re-derive
-	// them, so reads synchronize (name under connMu, caps atomically).
+	// name is the shard display name from the welcome. Reconnects
+	// re-derive it, so reads synchronize under connMu.
 	name string
-	caps atomic.Uint32
 
 	seqMu sync.Mutex
 	seq   uint64
@@ -223,6 +200,9 @@ type Client struct {
 
 // Dial connects and handshakes with a shard server.
 func Dial(cfg ClientConfig) (*Client, error) {
+	if len(cfg.Roster) == 0 || len(cfg.Roster) != cfg.Nodes {
+		return nil, fmt.Errorf("wire: shard %d: roster lists %d nodes, want the shard's %d (the epoch round encodes readings against it)", cfg.Shard, len(cfg.Roster), cfg.Nodes)
+	}
 	c := &Client{
 		cfg:      cfg,
 		nonce:    newNonce(),
@@ -342,13 +322,11 @@ func (c *Client) handshake() (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	offered := c.cfg.offeredCaps()
 	hello := AppendHello(nil, Hello{
 		Version:  Version,
 		Shard:    uint16(c.cfg.Shard),
 		Shards:   uint16(c.cfg.Shards),
 		Nodes:    uint16(c.cfg.Nodes),
-		Caps:     offered,
 		Nonce:    c.nonce,
 		Scenario: c.cfg.Scenario,
 	})
@@ -376,10 +354,6 @@ func (c *Client) handshake() (*clientConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	if w.Version != Version {
-		conn.Close()
-		return nil, fmt.Errorf("protocol version %d, client speaks %d", w.Version, Version)
-	}
 	if int(w.Shard) != c.cfg.Shard || int(w.Nodes) != c.cfg.Nodes {
 		conn.Close()
 		return nil, fmt.Errorf("welcome identity shard=%d nodes=%d, want shard=%d nodes=%d", w.Shard, w.Nodes, c.cfg.Shard, c.cfg.Nodes)
@@ -388,7 +362,6 @@ func (c *Client) handshake() (*clientConn, error) {
 	c.connMu.Lock()
 	c.name = w.Name
 	c.connMu.Unlock()
-	c.caps.Store(uint32(offered & w.Caps))
 	cc := &clientConn{conn: conn, dead: make(chan struct{})}
 	return cc, nil
 }
@@ -461,7 +434,7 @@ func (c *Client) sleep(d time.Duration) bool {
 // definitive response and is not retried.
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
-	if t == MsgSense || t == MsgEpochRound {
+	if t == MsgEpochRound {
 		c.rounds.Add(1)
 	}
 	seq := c.nextSeq()
@@ -565,10 +538,10 @@ func (c *Client) send(cc *clientConn, f Frame, attempt int) error {
 	return nil
 }
 
-// Attach plans and attaches a query on the shard under an id.
-func (c *Client) Attach(queryID uint32, algo, sql string) error {
-	payload := AppendAttach(nil, AttachReq{Query: queryID, Algo: algo, SQL: sql})
-	f, err := c.call(MsgAttach, payload)
+// Attach implements engine.RoundShard: the shard plans the query and
+// attaches its own operator under id.
+func (c *Client) Attach(id uint32, a engine.Attachment) error {
+	f, err := c.call(MsgAttach, AppendAttach(nil, AttachReq{Query: id, Algo: a.Algo, SQL: a.SQL}))
 	if err != nil {
 		return err
 	}
@@ -578,56 +551,22 @@ func (c *Client) Attach(queryID uint32, algo, sql string) error {
 	return nil
 }
 
-// Sense implements engine.RemoteShard: one shared sensing of the epoch.
-func (c *Client) Sense(e model.Epoch) (map[model.NodeID]model.Reading, error) {
-	f, err := c.call(MsgSense, AppendEpoch(nil, e))
+// Detach implements engine.RoundShard: the shard drops the query.
+func (c *Client) Detach(id uint32) error {
+	f, err := c.call(MsgDetach, AppendU32(nil, id))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if f.Type != MsgReadings {
-		return nil, fmt.Errorf("wire: sense reply %v", f.Type)
+	if f.Type != MsgDetached {
+		return fmt.Errorf("wire: detach reply %v", f.Type)
 	}
-	re, readings, err := DecodeReadings(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if re != e {
-		return nil, fmt.Errorf("wire: sense reply for epoch %d, want %d", re, e)
-	}
-	return readings, nil
+	return nil
 }
 
-// Acquire implements engine.RemoteShard: run one epoch of an attached
-// query on the shard.
-func (c *Client) Acquire(queryID uint32, e model.Epoch) (engine.RemoteAcquisition, error) {
-	f, err := c.call(MsgAcquire, AppendAcquire(nil, AcquireReq{Query: queryID, Epoch: e}))
-	if err != nil {
-		return engine.RemoteAcquisition{}, err
-	}
-	if f.Type != MsgAnswers {
-		return engine.RemoteAcquisition{}, fmt.Errorf("wire: acquire reply %v", f.Type)
-	}
-	re, answers, override, err := DecodeAnswers(f.Payload)
-	if err != nil {
-		return engine.RemoteAcquisition{}, err
-	}
-	if re != e {
-		return engine.RemoteAcquisition{}, fmt.Errorf("wire: acquire reply for epoch %d, want %d", re, e)
-	}
-	return engine.RemoteAcquisition{Answers: answers, Readings: override}, nil
-}
-
-// SupportsEpochRound implements engine.RemoteRoundShard: whether the
-// session negotiated the batched one-round protocol.
-func (c *Client) SupportsEpochRound() bool {
-	return uint16(c.caps.Load())&CapEpochRound != 0
-}
-
-// EpochRound implements engine.RemoteRoundShard: sense the epoch and run
-// every group's acquisition in one round trip.
-func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []engine.RemoteGroupResult, error) {
-	payload := AppendEpochRound(nil, EpochRoundReq{Epoch: e, Queries: queries})
-	f, err := c.call(MsgEpochRound, payload)
+// EpochRound implements engine.RoundShard: the sense and every group's
+// acquisition in one round trip.
+func (c *Client) EpochRound(e model.Epoch, ids []uint32) (map[model.NodeID]model.Reading, []engine.GroupResult, error) {
+	f, err := c.call(MsgEpochRound, AppendEpochRound(nil, EpochRoundReq{Epoch: e, Queries: ids}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -641,26 +580,19 @@ func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]m
 	if rep.Epoch != e {
 		return nil, nil, fmt.Errorf("wire: epoch-round reply for epoch %d, want %d", rep.Epoch, e)
 	}
-	if len(rep.Groups) != len(queries) {
-		return nil, nil, fmt.Errorf("wire: epoch-round reply carries %d groups, want %d", len(rep.Groups), len(queries))
+	if len(rep.Groups) != len(ids) {
+		return nil, nil, fmt.Errorf("wire: epoch-round reply carries %d groups, want %d", len(rep.Groups), len(ids))
 	}
-	results := make([]engine.RemoteGroupResult, len(rep.Groups))
+	results := make([]engine.GroupResult, len(rep.Groups))
 	for i, g := range rep.Groups {
 		if g.Err != "" {
-			// Same shape a per-call MsgError takes, so a group failure is
-			// indistinguishable from the legacy path's acquire failure.
+			// Same shape a call's MsgError takes.
 			results[i].Err = fmt.Errorf("wire: shard %s: %s", c.shardLabel(), g.Err)
 			continue
 		}
-		results[i].Acq = engine.RemoteAcquisition{Answers: g.Answers, Readings: g.Override}
+		results[i] = engine.GroupResult{Answers: g.Answers, Readings: g.Override}
 	}
 	return rep.Readings, results, nil
-}
-
-// SupportsSnapshot reports whether the session negotiated CapSnapshot —
-// the shard can stream its durable state out (Snapshot) and in (Restore).
-func (c *Client) SupportsSnapshot() bool {
-	return uint16(c.caps.Load())&CapSnapshot != 0
 }
 
 // Snapshot streams the shard's durable state image — windows, epoch

@@ -2,8 +2,9 @@
 // the third substrate next to the deterministic simulator and the
 // concurrent live deployment. A shard process (kspotd -serve-shard) wraps
 // its local substrate in a Server; the coordinator process drives every
-// shard through a Client, which the engine's RemoteCoordinator fans out
-// exactly like the in-process shard fan-out.
+// shard through a Client, which implements engine.RoundShard, so the
+// engine's Scheduler drives shard processes exactly like in-process
+// shards.
 //
 // The protocol is a length-prefixed framed RPC over one TCP connection:
 //
@@ -15,7 +16,8 @@
 // the shard identity (scenario name, shard index/count, node count); the
 // server verifies it against its own deployment and answers Welcome, so a
 // version-skewed or misdeployed peer fails the handshake instead of
-// corrupting an epoch stream.
+// corrupting an epoch stream. There is one protocol version and nothing to
+// negotiate: a peer speaking any other version is refused.
 //
 // Requests are at-most-once: the client stamps a monotone per-session
 // sequence number on every call and retries the *same* sequence on timeout
@@ -23,17 +25,17 @@
 // already executed and refuses sequences old enough to have been evicted
 // from the replay cache. That is what makes per-connection
 // retry/timeout/backoff — and the deterministic frame-level fault
-// injection in faults.go — safe: a sense is charged and an acquisition
-// sweep runs exactly once per sequence number no matter how many frames
-// the socket loses, duplicates or delays, so a federated run over lossy
-// sockets stays byte-identical to the in-process run.
+// injection in faults.go — safe: an epoch round senses, charges and sweeps
+// exactly once per sequence number no matter how many frames the socket
+// loses, duplicates or delays, so a federated run over lossy sockets stays
+// byte-identical to the in-process run.
 //
-// The connection is full-duplex: the client pipelines calls, demultiplexing
-// responses back to their callers by sequence number, and — when both peers
-// negotiated CapEpochRound at handshake — collapses a whole federated epoch
-// (sense + every shared-acquisition group) into ONE MsgEpochRound round
-// trip whose readings cross in a roster-positional delta encoding instead
-// of keyed reading records. See round.go.
+// The connection is full-duplex: the client pipelines calls,
+// demultiplexing responses back to their callers by sequence number. A
+// whole federated epoch — the sense plus every shared-acquisition group —
+// is ONE MsgEpochRound round trip, whose readings cross in a
+// roster-positional delta encoding instead of keyed reading records (see
+// round.go). Groups are set up with MsgAttach and dropped with MsgDetach.
 package wire
 
 import (
@@ -47,11 +49,13 @@ const (
 	// Magic opens every handshake payload ("KSPW", little-endian).
 	Magic uint32 = 0x5750534B
 	// Version is the protocol version; peers must match exactly.
-	Version uint16 = 1
-	// MaxPayload bounds a frame's payload. The largest legitimate frame is
-	// a readings reply (12 bytes per sensor node), so 1 MiB covers ~87k
-	// nodes per shard — far beyond scale-100k split into shards — while a
-	// garbage length prefix is rejected before any allocation.
+	Version uint16 = 2
+	// MaxPayload bounds a frame's payload. The largest legitimate frames
+	// are epoch-round replies, whose readings blocks cost a roster bitmap
+	// plus at most 9 varint bytes per present node. Node ids top out at
+	// 65,535, so even a shard holding every id senses into ~600 KB, and a
+	// 250-node shard's whole round is a few KB; a garbage length prefix is
+	// rejected before any allocation.
 	MaxPayload = 1 << 20
 
 	frameHeaderSize = 4 + 8 + 1 // len + seq + type
@@ -62,46 +66,30 @@ type MsgType uint8
 
 // Frame types. Requests are client→server, replies server→client.
 const (
-	MsgInvalid  MsgType = iota
-	MsgHello            // handshake request: identity + version
-	MsgWelcome          // handshake reply: server identity
-	MsgError            // reply: application error (string payload)
-	MsgAttach           // attach a query: qid, algorithm, SQL text
-	MsgAttached         // reply: qid
-	MsgSense            // sense an epoch: epoch
-	MsgReadings         // reply: epoch + readings (model codec)
-	MsgAcquire          // run an attached query's epoch: qid, epoch
-	MsgAnswers          // reply: epoch + answers (+ override readings)
-	MsgHistoric         // run a historic execution: exec, algo, k, window, agg
-	MsgTopK             // reply: exec, node count, (group, s64 sum) records
-	MsgFetch            // phase-2 targeted fetch: exec, group ids
-	MsgSums             // reply: exec, (group, s64 sum) records
-	MsgRelease          // drop a historic execution's cached state: exec
-	MsgReleased         // reply: exec
-	MsgStats            // fetch the shard's traffic/energy counters
-	MsgStatsReply       // reply: JSON stats.RunStats
-	MsgClose            // graceful session close
-	MsgClosed           // reply: acknowledged
-	MsgEpochRound       // batched epoch round: epoch + every group's query id
-	MsgEpochRoundReply  // reply: sense readings + every group's acquisition
-	MsgSnapshot         // fetch one bounded chunk of the shard state: offset
-	MsgSnapshotChunk    // reply: total size, offset, chunk bytes
-	MsgRestore          // push one bounded chunk of a shard state: total, offset, bytes
-	MsgRestored         // reply: bytes received so far, applied flag
-)
-
-// Capability bits, negotiated at handshake: the client offers its set in
-// Hello.Caps, the server grants its own in Welcome.Caps, and the session
-// speaks the intersection. An old peer (or one with the capability
-// disabled) simply never sees the newer frames.
-const (
-	// CapEpochRound: the peer speaks the batched one-round epoch protocol
-	// (MsgEpochRound) with roster-positional readings encoding.
-	CapEpochRound uint16 = 1 << 0
-	// CapSnapshot: the peer speaks the shard snapshot/restore protocol
-	// (MsgSnapshot/MsgRestore) — chunked transfer of the durable tier's
-	// windows, epoch cursor and energy ledger.
-	CapSnapshot uint16 = 1 << 1
+	MsgInvalid         MsgType = iota
+	MsgHello                   // handshake request: identity + version
+	MsgWelcome                 // handshake reply: server identity
+	MsgError                   // reply: application error (string payload)
+	MsgAttach                  // attach a query: qid, algorithm, SQL text
+	MsgAttached                // reply: qid
+	MsgDetach                  // drop an attached query: qid
+	MsgDetached                // reply: qid
+	MsgHistoric                // run a historic execution: exec, algo, k, window, agg
+	MsgTopK                    // reply: exec, node count, (group, s64 sum) records
+	MsgFetch                   // phase-2 targeted fetch: exec, group ids
+	MsgSums                    // reply: exec, (group, s64 sum) records
+	MsgRelease                 // drop a historic execution's cached state: exec
+	MsgReleased                // reply: exec
+	MsgStats                   // fetch the shard's traffic/energy counters
+	MsgStatsReply              // reply: JSON stats.RunStats
+	MsgClose                   // graceful session close
+	MsgClosed                  // reply: acknowledged
+	MsgEpochRound              // epoch round: epoch + every group's query id
+	MsgEpochRoundReply         // reply: sense readings + every group's acquisition
+	MsgSnapshot                // fetch one bounded chunk of the shard state: offset
+	MsgSnapshotChunk           // reply: total size, offset, chunk bytes
+	MsgRestore                 // push one bounded chunk of a shard state: total, offset, bytes
+	MsgRestored                // reply: bytes received so far, applied flag
 )
 
 func (t MsgType) String() string {
@@ -116,14 +104,10 @@ func (t MsgType) String() string {
 		return "attach"
 	case MsgAttached:
 		return "attached"
-	case MsgSense:
-		return "sense"
-	case MsgReadings:
-		return "readings"
-	case MsgAcquire:
-		return "acquire"
-	case MsgAnswers:
-		return "answers"
+	case MsgDetach:
+		return "detach"
+	case MsgDetached:
+		return "detached"
 	case MsgHistoric:
 		return "historic"
 	case MsgTopK:
@@ -251,7 +235,6 @@ type Hello struct {
 	Shard    uint16 // shard index the client believes it is dialing
 	Shards   uint16 // total shard count of the deployment
 	Nodes    uint16 // sensor node count of this shard's sub-scenario
-	Caps     uint16 // capability bits the client offers (CapEpochRound, ...)
 	Nonce    uint64
 	Scenario string // flat scenario name
 }
@@ -261,42 +244,56 @@ type Welcome struct {
 	Version uint16
 	Shard   uint16
 	Nodes   uint16
-	Caps    uint16 // capability bits the server grants
 	Name    string // shard display name (panels, error tags)
 }
 
 // AppendHello appends the wire form of h.
 func AppendHello(dst []byte, h Hello) []byte {
-	var buf [22]byte
+	var buf [20]byte
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint16(buf[4:], h.Version)
 	binary.LittleEndian.PutUint16(buf[6:], h.Shard)
 	binary.LittleEndian.PutUint16(buf[8:], h.Shards)
 	binary.LittleEndian.PutUint16(buf[10:], h.Nodes)
-	binary.LittleEndian.PutUint16(buf[12:], h.Caps)
-	binary.LittleEndian.PutUint64(buf[14:], h.Nonce)
+	binary.LittleEndian.PutUint64(buf[12:], h.Nonce)
 	dst = append(dst, buf[:]...)
 	return appendString(dst, h.Scenario)
 }
 
-// DecodeHello decodes a handshake request, rejecting bad magic, truncation
-// and trailing garbage.
-func DecodeHello(b []byte) (Hello, error) {
-	if len(b) < 22 {
-		return Hello{}, io.ErrUnexpectedEOF
+// checkPreamble verifies a handshake payload's magic and protocol version
+// — the fields every version lays out identically — before anything else
+// is decoded, so a peer of another version is refused by name rather than
+// misparsed.
+func checkPreamble(b []byte) error {
+	if len(b) < 6 {
+		return io.ErrUnexpectedEOF
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != Magic {
-		return Hello{}, fmt.Errorf("wire: bad handshake magic %#x", binary.LittleEndian.Uint32(b[0:]))
+	if m := binary.LittleEndian.Uint32(b[0:]); m != Magic {
+		return fmt.Errorf("wire: bad handshake magic %#x", m)
+	}
+	if v := binary.LittleEndian.Uint16(b[4:]); v != Version {
+		return fmt.Errorf("wire: protocol version %d, this peer speaks %d", v, Version)
+	}
+	return nil
+}
+
+// DecodeHello decodes a handshake request, rejecting bad magic, another
+// protocol version, truncation and trailing garbage.
+func DecodeHello(b []byte) (Hello, error) {
+	if err := checkPreamble(b); err != nil {
+		return Hello{}, err
+	}
+	if len(b) < 20 {
+		return Hello{}, io.ErrUnexpectedEOF
 	}
 	h := Hello{
 		Version: binary.LittleEndian.Uint16(b[4:]),
 		Shard:   binary.LittleEndian.Uint16(b[6:]),
 		Shards:  binary.LittleEndian.Uint16(b[8:]),
 		Nodes:   binary.LittleEndian.Uint16(b[10:]),
-		Caps:    binary.LittleEndian.Uint16(b[12:]),
-		Nonce:   binary.LittleEndian.Uint64(b[14:]),
+		Nonce:   binary.LittleEndian.Uint64(b[12:]),
 	}
-	s, rest, err := decodeString(b[22:])
+	s, rest, err := decodeString(b[20:])
 	if err != nil {
 		return Hello{}, err
 	}
@@ -309,31 +306,29 @@ func DecodeHello(b []byte) (Hello, error) {
 
 // AppendWelcome appends the wire form of w.
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	var buf [12]byte
+	var buf [10]byte
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint16(buf[4:], w.Version)
 	binary.LittleEndian.PutUint16(buf[6:], w.Shard)
 	binary.LittleEndian.PutUint16(buf[8:], w.Nodes)
-	binary.LittleEndian.PutUint16(buf[10:], w.Caps)
 	dst = append(dst, buf[:]...)
 	return appendString(dst, w.Name)
 }
 
-// DecodeWelcome decodes a handshake reply.
+// DecodeWelcome decodes a handshake reply, with DecodeHello's checks.
 func DecodeWelcome(b []byte) (Welcome, error) {
-	if len(b) < 12 {
-		return Welcome{}, io.ErrUnexpectedEOF
+	if err := checkPreamble(b); err != nil {
+		return Welcome{}, err
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != Magic {
-		return Welcome{}, fmt.Errorf("wire: bad handshake magic %#x", binary.LittleEndian.Uint32(b[0:]))
+	if len(b) < 10 {
+		return Welcome{}, io.ErrUnexpectedEOF
 	}
 	w := Welcome{
 		Version: binary.LittleEndian.Uint16(b[4:]),
 		Shard:   binary.LittleEndian.Uint16(b[6:]),
 		Nodes:   binary.LittleEndian.Uint16(b[8:]),
-		Caps:    binary.LittleEndian.Uint16(b[10:]),
 	}
-	s, rest, err := decodeString(b[12:])
+	s, rest, err := decodeString(b[10:])
 	if err != nil {
 		return Welcome{}, err
 	}

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -13,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Seq: 1, Type: MsgHello, Payload: []byte("hello")},
 		{Seq: 0, Type: MsgClose, Payload: nil},
-		{Seq: ^uint64(0), Type: MsgAnswers, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+		{Seq: ^uint64(0), Type: MsgEpochRoundReply, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
 	var stream []byte
 	for _, f := range frames {
@@ -51,7 +54,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejects(t *testing.T) {
-	full := AppendFrame(nil, Frame{Seq: 7, Type: MsgSense, Payload: []byte{1, 2, 3}})
+	full := AppendFrame(nil, Frame{Seq: 7, Type: MsgEpochRound, Payload: []byte{1, 2, 3}})
 
 	// Every truncation of a valid frame must fail cleanly, never panic.
 	for cut := 0; cut < len(full); cut++ {
@@ -123,47 +126,79 @@ func TestHandshakeRejects(t *testing.T) {
 			}
 		}
 	}
+
+	// A v1 peer is refused at the handshake, on either side, by name: v1
+	// laid out magic, version, shard, shards, nodes, capability bits and
+	// nonce before the scenario string.
+	v1Hello := make([]byte, 22)
+	binary.LittleEndian.PutUint32(v1Hello[0:], Magic)
+	binary.LittleEndian.PutUint16(v1Hello[4:], 1)
+	binary.LittleEndian.PutUint16(v1Hello[8:], 1)
+	binary.LittleEndian.PutUint16(v1Hello[10:], 14)
+	binary.LittleEndian.PutUint16(v1Hello[12:], 1) // the retired epoch-round capability
+	v1Hello = appendString(v1Hello, "icde09-demo")
+	v1Welcome := make([]byte, 12)
+	binary.LittleEndian.PutUint32(v1Welcome[0:], Magic)
+	binary.LittleEndian.PutUint16(v1Welcome[4:], 1)
+	v1Welcome = appendString(v1Welcome, "shard-0")
+	addr, _ := startTestServer(t)
+	demo := testClientConfig(addr)
+	rows := []struct {
+		name string
+		err  func() error
+		want string
+	}{
+		{"v1 hello", func() error { _, err := DecodeHello(v1Hello); return err }, "version 1"},
+		{"v1 welcome", func() error { _, err := DecodeWelcome(v1Welcome); return err }, "version 1"},
+		{"v1 hello at a server", func() error { return helloAt(addr, v1Hello) }, "version 1"},
+		{"roster-less dial", func() error {
+			cfg := demo
+			cfg.Roster = nil
+			_, err := Dial(cfg)
+			return err
+		}, "roster"},
+		{"short-roster dial", func() error {
+			cfg := demo
+			cfg.Roster = cfg.Roster[1:]
+			_, err := Dial(cfg)
+			return err
+		}, "roster"},
+	}
+	for _, r := range rows {
+		if err := r.err(); err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", r.name, err, r.want)
+		}
+	}
+	cl, err := Dial(demo)
+	if err != nil {
+		t.Fatalf("a v2 dial with the roster failed: %v", err)
+	}
+	cl.Close()
+}
+
+// helloAt sends a raw hello payload to a server and returns its handshake
+// refusal, or nil when it answers with a welcome.
+func helloAt(addr string, hello []byte) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	var wbuf []byte
+	if err := WriteFrame(conn, &wbuf, Frame{Seq: 1, Type: MsgHello, Payload: hello}); err != nil {
+		return err
+	}
+	f, err := ReadFrame(conn)
+	if err != nil {
+		return err
+	}
+	if f.Type == MsgError {
+		return errors.New(string(f.Payload))
+	}
+	return nil
 }
 
 func TestPayloadCodecsRoundTrip(t *testing.T) {
-	// Readings: node order must not matter on the way in, and the decoded
-	// map must match value-exactly (centi-quantized fixed point).
-	readings := map[model.NodeID]model.Reading{
-		9: {Node: 9, Group: 2, Value: 55.25},
-		1: {Node: 1, Group: 0, Value: -3.5},
-		4: {Node: 4, Group: 1, Value: 0},
-	}
-	e, got, err := DecodeReadings(AppendReadings(nil, 17, readings))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 17 || len(got) != len(readings) {
-		t.Fatalf("epoch %d / %d readings", e, len(got))
-	}
-	for id, r := range readings {
-		if got[id] != r {
-			t.Fatalf("node %d: %+v != %+v", id, got[id], r)
-		}
-	}
-
-	// Answers with an override reading set (GROUP BY ... WITH HISTORY).
-	answers := []model.Answer{{Group: 3, Score: 61.5}, {Group: 1, Score: 60}}
-	ae, gotAns, override, err := DecodeAnswers(AppendAnswers(nil, 5, answers, readings))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae != 5 || !model.EqualAnswers(gotAns, answers) || len(override) != len(readings) {
-		t.Fatalf("answers round-trip: epoch %d, %v, override %d", ae, gotAns, len(override))
-	}
-	// And without: override must come back nil, not empty.
-	_, _, override, err = DecodeAnswers(AppendAnswers(nil, 5, answers, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if override != nil {
-		t.Fatalf("no-override answers decoded an override set: %v", override)
-	}
-
 	// Historic TOP-K rows carry signed 64-bit centi-sums: values beyond the
 	// 6-byte snapshot answer codec's int32 saturation must survive.
 	big := []model.Answer{
@@ -220,8 +255,7 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 
 func TestPayloadCodecsReject(t *testing.T) {
 	valids := [][]byte{
-		AppendReadings(nil, 1, map[model.NodeID]model.Reading{1: {Node: 1, Value: 2}}),
-		AppendAnswers(nil, 1, []model.Answer{{Group: 1, Score: 2}}, nil),
+		AppendU32(nil, 7),
 		AppendTopK(nil, 1, 2, []model.Answer{{Group: 1, Score: 2}}),
 		AppendFetch(nil, 1, []model.GroupID{1}),
 		AppendSums(nil, 1, map[model.GroupID]int64{1: 2}),
@@ -229,8 +263,7 @@ func TestPayloadCodecsReject(t *testing.T) {
 		AppendHistoric(nil, HistoricReq{Exec: 1, K: 1, Window: 1, Agg: model.AggAvg, Algo: "tja"}),
 	}
 	decoders := []func([]byte) error{
-		func(b []byte) error { _, _, err := DecodeReadings(b); return err },
-		func(b []byte) error { _, _, _, err := DecodeAnswers(b); return err },
+		func(b []byte) error { _, err := DecodeU32(b); return err },
 		func(b []byte) error { _, _, _, err := DecodeTopK(b); return err },
 		func(b []byte) error { _, _, err := DecodeFetch(b); return err },
 		func(b []byte) error { _, _, err := DecodeSums(b); return err },

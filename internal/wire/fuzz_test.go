@@ -14,8 +14,15 @@ import (
 // to the identical frame (the codecs have one canonical form).
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Seq: 1, Type: MsgHello, Payload: AppendHello(nil, Hello{Version: Version, Scenario: "demo"})}))
-	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgSense, Payload: AppendEpoch(nil, 7)}))
-	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgAnswers, Payload: AppendAnswers(nil, 7, []model.Answer{{Group: 1, Score: 2}}, nil)}))
+	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1}})}))
+	if reply, err := AppendEpochRoundReply(nil, fuzzRoster, EpochRoundReply{
+		Epoch:    7,
+		Readings: map[model.NodeID]model.Reading{2: {Node: 2, Group: 1, Epoch: 7, Value: 3.5}},
+		Groups:   []RoundGroup{{Answers: []model.Answer{{Group: 1, Score: 2}}}},
+	}); err == nil {
+		f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgEpochRoundReply, Payload: reply}))
+	}
+	f.Add(AppendFrame(nil, Frame{Seq: 5, Type: MsgDetach, Payload: AppendU32(nil, 1)}))
 	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(nil, 1, 9, []model.Answer{{Group: 3, Score: -4.5}})}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
@@ -42,11 +49,7 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeHello(fr.Payload)
 		DecodeWelcome(fr.Payload)
 		DecodeAttach(fr.Payload)
-		DecodeEpoch(fr.Payload)
 		DecodeU32(fr.Payload)
-		DecodeAcquire(fr.Payload)
-		DecodeReadings(fr.Payload)
-		DecodeAnswers(fr.Payload)
 		DecodeHistoric(fr.Payload)
 		DecodeTopK(fr.Payload)
 		DecodeFetch(fr.Payload)
@@ -125,6 +128,7 @@ func FuzzEpochRoundDecode(f *testing.F) {
 func FuzzHandshake(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: Version, Shard: 1, Shards: 4, Nodes: 250, Nonce: 99, Scenario: "scale-1000"}))
 	f.Add(AppendHello(nil, Hello{Version: Version + 1, Scenario: ""}))
+	f.Add(AppendHello(nil, Hello{Version: Version - 1, Scenario: "icde09-demo"}))
 	f.Add([]byte("KSPW"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeHello(data)

@@ -3,13 +3,13 @@ package wire
 // journal is the shard server's session meta log: the second file of a
 // -data-dir next to the storage segments. Where segments persist WHAT the
 // shard buffered, the journal persists WHO it was serving — the
-// coordinator session nonce, every attached query (id, algorithm, SQL),
+// coordinator session nonce, every attach and detach (id, algorithm, SQL),
 // and a per-epoch energy checkpoint — so a kill -9'd shard process
 // restarted on the same data dir resumes the SAME session: the
 // reconnecting coordinator's unchanged nonce matches instead of resetting
-// the session, its queries are already attached (replayed from the
-// journal through the normal attach path), and the network's energy
-// ledger picks up where the dead process last flushed.
+// the session, its live queries are already attached (replayed from the
+// journal through the normal attach path; detached ones are not), and the
+// network's energy ledger picks up where the dead process last flushed.
 //
 // The format is the segment discipline applied to variable-size records:
 // u32 len | payload | crc32(payload), replayed front to back with the
@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 
 	"kspot/internal/model"
 )
@@ -31,12 +32,13 @@ const (
 	jNonce  = 1 // u64 nonce — a new coordinator session began
 	jAttach = 2 // u32 qid | str algo | str sql — a query attached
 	jEnergy = 3 // u32 epoch | u32 count | (u16 node, u64 f64bits µJ)* — epoch checkpoint
+	jDetach = 4 // u32 qid — an attached query was dropped
 )
 
 // journalState is what replaying a journal yields.
 type journalState struct {
 	nonce       uint64
-	attaches    []AttachReq // in attach order
+	attaches    []AttachReq // live attachments, in attach order
 	energyEpoch model.Epoch
 	hasEnergy   bool
 	energy      map[model.NodeID]float64
@@ -116,6 +118,12 @@ func openJournal(path string) (*journal, journalState, error) {
 				continue
 			}
 			st.attaches = append(st.attaches, AttachReq{Query: qid, Algo: algo, SQL: sql})
+		case jDetach:
+			if len(p) != 5 {
+				continue
+			}
+			qid := binary.LittleEndian.Uint32(p[1:])
+			st.attaches = slices.DeleteFunc(st.attaches, func(a AttachReq) bool { return a.Query == qid })
 		case jEnergy:
 			if len(p) < 9 {
 				continue
@@ -179,6 +187,12 @@ func (j *journal) Attach(req AttachReq) error {
 	p = appendString(p, req.Algo)
 	p = appendString(p, req.SQL)
 	return j.write(p)
+}
+
+// Detach records one dropped query.
+func (j *journal) Detach(qid uint32) error {
+	p := []byte{jDetach}
+	return j.write(binary.LittleEndian.AppendUint32(p, qid))
 }
 
 // Energy records an epoch's per-node ledger checkpoint, nodes ascending.

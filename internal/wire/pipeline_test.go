@@ -2,9 +2,8 @@ package wire
 
 // The pipelined-client suite: concurrent calls multiplexing one socket
 // must not queue behind each other's timeouts or backoffs, responses may
-// land out of order, injected frame faults must stay invisible at the
-// at-most-once layer, and the batched epoch round must be byte-identical
-// to the per-call protocol it replaces.
+// land out of order, and injected frame faults must stay invisible at the
+// at-most-once layer.
 
 import (
 	"bytes"
@@ -22,9 +21,9 @@ import (
 
 // startTestServer runs a real shard server for the Figure-3 scenario on a
 // loopback listener.
-func startTestServer(t *testing.T, legacy bool) (string, *Server) {
+func startTestServer(t *testing.T) (string, *Server) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0, DisableEpochRound: legacy})
+	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +36,7 @@ func startTestServer(t *testing.T, legacy bool) (string, *Server) {
 	return ln.Addr().String(), srv
 }
 
-// testClientConfig dials the Figure-3 shard with its roster set (so the
-// client offers CapEpochRound).
+// testClientConfig dials the Figure-3 shard with its roster.
 func testClientConfig(addr string) ClientConfig {
 	scen := config.Figure3Scenario()
 	roster := make([]model.NodeID, 0, len(scen.Nodes))
@@ -56,8 +54,8 @@ func testClientConfig(addr string) ClientConfig {
 	}
 }
 
-// startStubServer speaks the handshake (echoing the hello's identity and
-// capability bits), then hands every subsequent frame to fn on its own
+// startStubServer speaks the handshake (echoing the hello's identity),
+// then hands every subsequent frame to fn on its own
 // goroutine; fn returns the reply frame, or ok=false to swallow the
 // request. Concurrent replies interleave under a write mutex — a scripted
 // far end for timeout, backoff and shutdown scenarios a real server
@@ -87,7 +85,7 @@ func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 				}
 				var wmu sync.Mutex
 				var wbuf []byte
-				welcome := AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Caps: h.Caps, Name: "stub"})
+				welcome := AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})
 				if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
 					return
 				}
@@ -111,181 +109,47 @@ func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 	return ln.Addr().String()
 }
 
-// readingsBytes pins byte-identity of a readings map via its canonical
-// wire encoding (sorted node order).
-func readingsBytes(e model.Epoch, readings map[model.NodeID]model.Reading) []byte {
-	return AppendReadings(nil, e, readings)
+// stubRoster is the one-node roster the stub server's clients dial with.
+var stubRoster = []model.NodeID{1}
+
+// stubConfig dials a stub server.
+func stubConfig(addr string) ClientConfig {
+	return ClientConfig{Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 1, Roster: stubRoster}
 }
 
-func answersBytesOf(answers []model.Answer) []byte {
-	var b []byte
-	for _, a := range answers {
-		b = model.AppendAnswer(b, a)
-	}
-	return b
-}
-
-// TestEpochRoundByteIdenticalToPerCall: the batched round — sense plus
-// every group's acquisition in one frame — must produce byte-identical
-// readings, answers and derived-readings overrides to the per-call
-// Sense/Acquire sequence on an identical server, epoch for epoch,
-// including a WITH HISTORY group whose override readings ride the reply.
-func TestEpochRoundByteIdenticalToPerCall(t *testing.T) {
-	queries := []struct {
-		qid  uint32
-		algo string
-		sql  string
-	}{
-		{1, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"},
-		{2, "tag", "SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid"},
-		{3, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4"},
-	}
-	qids := []uint32{1, 2, 3}
-	const epochs = 6
-
-	// Batched leg: one EpochRound call per epoch.
-	addrA, _ := startTestServer(t, false)
-	clA, err := Dial(testClientConfig(addrA))
+// stubRound answers an epoch-round request with an empty round.
+func stubRound(f Frame) Frame {
+	req, err := DecodeEpochRound(f.Payload)
 	if err != nil {
-		t.Fatal(err)
+		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte(err.Error())}
 	}
-	defer clA.Close()
-	if !clA.SupportsEpochRound() {
-		t.Fatal("session did not negotiate the epoch-round capability")
-	}
-	for _, q := range queries {
-		if err := clA.Attach(q.qid, q.algo, q.sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Per-call leg: identical server, capability withheld client-side.
-	addrB, _ := startTestServer(t, false)
-	cfgB := testClientConfig(addrB)
-	cfgB.DisableEpochRound = true
-	clB, err := Dial(cfgB)
+	payload, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: req.Epoch, Groups: make([]RoundGroup, len(req.Queries))})
 	if err != nil {
-		t.Fatal(err)
+		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte(err.Error())}
 	}
-	defer clB.Close()
-	if clB.SupportsEpochRound() {
-		t.Fatal("capability negotiated despite DisableEpochRound")
-	}
-	for _, q := range queries {
-		if err := clB.Attach(q.qid, q.algo, q.sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for e := model.Epoch(0); e < epochs; e++ {
-		readings, results, err := clA.EpochRound(e, qids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		senseB, err := clB.Sense(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(readingsBytes(e, readings), readingsBytes(e, senseB)) {
-			t.Fatalf("epoch %d: batched sense diverged from per-call", e)
-		}
-		for gi, qid := range qids {
-			acqB, err := clB.Acquire(qid, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if results[gi].Err != nil {
-				t.Fatalf("epoch %d group %d: %v", e, qid, results[gi].Err)
-			}
-			acqA := results[gi].Acq
-			if !bytes.Equal(answersBytesOf(acqA.Answers), answersBytesOf(acqB.Answers)) {
-				t.Fatalf("epoch %d group %d: answers %v != %v", e, qid, acqA.Answers, acqB.Answers)
-			}
-			if (acqA.Readings == nil) != (acqB.Readings == nil) {
-				t.Fatalf("epoch %d group %d: override presence diverged", e, qid)
-			}
-			if acqA.Readings != nil && !bytes.Equal(readingsBytes(e, acqA.Readings), readingsBytes(e, acqB.Readings)) {
-				t.Fatalf("epoch %d group %d: override readings diverged", e, qid)
-			}
-		}
-	}
-	// The WITH HISTORY group actually exercised the override leg.
-	if _, results, err := clA.EpochRound(epochs, qids); err != nil || results[2].Acq.Readings == nil {
-		t.Fatalf("derived-readings group shipped no override (err %v)", err)
-	}
-}
-
-// TestEpochRoundAgainstLegacyServer: an old server (no CapEpochRound in
-// its welcome) downgrades the session — the client reports no support and
-// keeps working through the per-call protocol; a group error inside a
-// round on a new server stays isolated to its group.
-func TestEpochRoundAgainstLegacyServer(t *testing.T) {
-	addr, _ := startTestServer(t, true) // server withholds the capability
-	cl, err := Dial(testClientConfig(addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.SupportsEpochRound() {
-		t.Fatal("client negotiated epoch-round against a legacy server")
-	}
-	if err := cl.Attach(1, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Sense(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Acquire(1, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// A new server isolates one group's failure inside a round: the unknown
-	// qid errors, the attached one answers, the sense stands.
-	addr2, _ := startTestServer(t, false)
-	cl2, err := Dial(testClientConfig(addr2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	if err := cl2.Attach(1, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"); err != nil {
-		t.Fatal(err)
-	}
-	readings, results, err := cl2.EpochRound(0, []uint32{1, 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(readings) == 0 {
-		t.Fatal("round with a failed group lost the sense")
-	}
-	if results[0].Err != nil {
-		t.Fatalf("healthy group poisoned: %v", results[0].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("unknown query id succeeded")
-	}
+	return Frame{Seq: f.Seq, Type: MsgEpochRoundReply, Payload: payload}
 }
 
 // TestClientBackoffDoesNotBlockConcurrentCalls: a call waiting out its
 // retry backoff must not delay other calls on the shared connection — the
 // regression this pins is the serialized client sleeping its backoff
-// under the call mutex. The stub swallows the first sense attempt (the
-// call times out and backs off); a Stats issued mid-backoff must complete
-// immediately.
+// under the call mutex. The stub swallows the first epoch-round attempt
+// (the call times out and backs off); a Stats issued mid-backoff must
+// complete immediately.
 func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	var mu sync.Mutex
-	senseDropped := false
+	roundDropped := false
 	addr := startStubServer(t, func(f Frame) (Frame, bool) {
 		switch f.Type {
-		case MsgSense:
+		case MsgEpochRound:
 			mu.Lock()
-			first := !senseDropped
-			senseDropped = true
+			first := !roundDropped
+			roundDropped = true
 			mu.Unlock()
 			if first {
 				return Frame{}, false // swallowed: the attempt times out
 			}
-			e, _ := DecodeEpoch(f.Payload)
-			return Frame{Seq: f.Seq, Type: MsgReadings, Payload: AppendReadings(nil, e, nil)}, true
+			return stubRound(f), true
 		case MsgStats:
 			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: []byte("{}")}, true
 		case MsgClose:
@@ -293,23 +157,22 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 		}
 		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("unexpected " + f.Type.String())}, true
 	})
-	cl, err := Dial(ClientConfig{
-		Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 0,
-		CallTimeout: 250 * time.Millisecond,
-		Retries:     3,
-		Backoff:     500 * time.Millisecond,
-	})
+	cfg := stubConfig(addr)
+	cfg.CallTimeout = 250 * time.Millisecond
+	cfg.Retries = 3
+	cfg.Backoff = 500 * time.Millisecond
+	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	senseDone := make(chan error, 1)
+	roundDone := make(chan error, 1)
 	go func() {
-		_, err := cl.Sense(0)
-		senseDone <- err
+		_, _, err := cl.EpochRound(0, nil)
+		roundDone <- err
 	}()
-	// Land inside the sense's timeout+backoff window (first attempt is
+	// Land inside the round's timeout+backoff window (first attempt is
 	// swallowed at t=0, times out at 250ms, sleeps 500ms, retries at 750ms).
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
@@ -319,24 +182,24 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("concurrent Stats took %v while another call was retrying — backoff is blocking the connection", elapsed)
 	}
-	if err := <-senseDone; err != nil {
-		t.Fatalf("the backed-off sense never recovered: %v", err)
+	if err := <-roundDone; err != nil {
+		t.Fatalf("the backed-off round never recovered: %v", err)
 	}
 	if cl.Retried() == 0 {
-		t.Fatal("the swallowed sense never retried — the scenario did not run")
+		t.Fatal("the swallowed round never retried — the scenario did not run")
 	}
 }
 
 // TestClientPipelinedFaultsOutOfOrder: three concurrent callers multiplex
 // one faulty socket — duplicated, delayed and response-dropped frames, so
 // responses land out of order and retried sequences replay — and the
-// sensed epoch stream plus the server's execution counters must stay
+// epoch rounds' readings plus the server's execution counters must stay
 // byte-identical to a clean serial run: every request executed at most
 // once, every response routed to its caller.
 func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	const epochs = 8
 	run := func(faults *Faults) ([][]byte, int64, ClientMetrics) {
-		addr, srv := startTestServer(t, false)
+		addr, srv := startTestServer(t)
 		cfg := testClientConfig(addr)
 		cfg.Faults = faults
 		cfg.CallTimeout = 150 * time.Millisecond
@@ -369,11 +232,15 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 		}
 		var senses [][]byte
 		for e := model.Epoch(0); e < epochs; e++ {
-			readings, err := cl.Sense(e)
+			readings, _, err := cl.EpochRound(e, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			senses = append(senses, readingsBytes(e, readings))
+			b, err := AppendRosterReadings(nil, cfg.Roster, e, readings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			senses = append(senses, b)
 		}
 		close(stop)
 		pollers.Wait()
@@ -412,19 +279,18 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 func TestClientCloseInterruptsInFlight(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	addr := startStubServer(t, func(f Frame) (Frame, bool) { return Frame{}, false })
-	cl, err := Dial(ClientConfig{
-		Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 0,
-		CallTimeout: 5 * time.Second,
-		Retries:     5,
-		Backoff:     time.Second,
-	})
+	cfg := stubConfig(addr)
+	cfg.CallTimeout = 5 * time.Second
+	cfg.Retries = 5
+	cfg.Backoff = time.Second
+	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			_, err := cl.Sense(model.Epoch(i))
+			_, _, err := cl.EpochRound(model.Epoch(i), nil)
 			errs <- err
 		}(i)
 	}
@@ -444,7 +310,7 @@ func TestClientCloseInterruptsInFlight(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Close took %v to interrupt in-flight calls", elapsed)
 	}
-	if _, err := cl.Sense(99); err == nil {
+	if _, _, err := cl.EpochRound(99, nil); err == nil {
 		t.Fatal("a call after Close succeeded")
 	}
 	deadline := time.Now().Add(5 * time.Second)

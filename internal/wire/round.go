@@ -1,14 +1,13 @@
 package wire
 
-// The batched epoch-round codec (CapEpochRound). One MsgEpochRound frame
-// carries the epoch and every shared-acquisition group's query id; the
-// MsgEpochRoundReply carries the epoch's sense readings plus every group's
-// acquisition — the whole federated epoch in one round trip instead of
-// 1 + G. Readings cross in a roster-positional encoding: both ends know
-// the shard's sensor roster (fixed at handshake — the node set is static
-// configuration), so a reading map is a presence bitmap over the roster
-// plus per-node varint deltas, not self-describing 12-byte keyed records.
-// For a 250-node shard that is ~4 bytes of bitmap plus a few bytes per
+// The epoch-round codec. One MsgEpochRound frame carries the epoch and
+// every shared-acquisition group's query id; the MsgEpochRoundReply
+// carries the epoch's sense readings plus every group's acquisition — the
+// whole federated epoch in one round trip. Readings cross in a
+// roster-positional encoding: both ends know the shard's sensor roster
+// (fixed at handshake — the node set is static configuration), so a
+// reading map is a presence bitmap over the roster plus per-node varint
+// deltas, not self-describing 12-byte keyed records. For a 250-node shard that is ~4 bytes of bitmap plus a few bytes per
 // node instead of 12, and the decoder allocates one map, not one per
 // record pass.
 //
@@ -27,7 +26,7 @@ import (
 )
 
 // EpochRoundReq asks the shard to sense the epoch and run one epoch of
-// every listed attached query, in order, in a single round trip.
+// every listed attached query, in order (engine.RoundShard's EpochRound).
 type EpochRoundReq struct {
 	Epoch   model.Epoch
 	Queries []uint32 // one attached query id per shared-acquisition group

@@ -15,7 +15,6 @@ import (
 	"kspot/internal/engine"
 	"kspot/internal/faults"
 	"kspot/internal/model"
-	"kspot/internal/query"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
 	"kspot/internal/storage"
@@ -43,13 +42,6 @@ type ServerConfig struct {
 	Live bool
 	// LiveWindow sizes the live substrate's per-node history buffer.
 	LiveWindow int
-	// DisableEpochRound withholds CapEpochRound from the handshake and
-	// refuses MsgEpochRound — the server behaves like a pre-batching
-	// deployment, so mixed old/new federations are testable (a client
-	// falls back to the per-call protocol per shard). It also withholds
-	// CapSnapshot: the flag models an old server, and old servers predate
-	// the durable tier.
-	DisableEpochRound bool
 	// DataDir, when non-empty, persists the shard across process deaths:
 	// the durable tier's segment files plus a session journal (coordinator
 	// nonce, attached queries, per-epoch energy checkpoints) live there, so
@@ -60,19 +52,21 @@ type ServerConfig struct {
 }
 
 // Server wraps one shard's local substrate behind the framed protocol: the
-// kspotd -serve-shard process body. It expects a single logical
-// coordinator; requests are serialized (the shard substrate is one state
-// machine) and executed at most once per sequence number — a reconnecting
-// coordinator resuming a session replays cached responses instead of
-// re-running sweeps.
+// kspotd -serve-shard process body. Attach, detach and epoch-round
+// requests are answered by the shard's engine.LocalShard — the same epoch
+// round an in-process federation runs — so a shard process cannot drift
+// from an in-process shard. It expects a single logical coordinator;
+// requests are serialized (the shard substrate is one state machine) and
+// executed at most once per sequence number — a reconnecting coordinator
+// resuming a session replays cached responses instead of re-running
+// sweeps.
 type Server struct {
-	cfg    ServerConfig
-	sub    *config.Scenario
-	net    *sim.Network
-	tp     engine.Transport // behind the shard's fault injector when armed
-	src    trace.Source
-	schema query.Schema
-	name   string
+	cfg  ServerConfig
+	sub  *config.Scenario
+	net  *sim.Network
+	tp   engine.Transport // behind the shard's fault injector when armed
+	src  trace.Source
+	name string
 
 	live       *engine.Live
 	liveCancel context.CancelFunc
@@ -82,10 +76,8 @@ type Server struct {
 	journal *journal // nil without a data dir
 
 	mu          sync.Mutex
-	queries     map[uint32]*attachedQuery
+	shard       *engine.LocalShard // the session's attached groups and epoch rounds
 	historics   map[uint32]*historicExec
-	senseEpoch  model.Epoch
-	sensed      map[model.NodeID]model.Reading
 	nonce       uint64
 	evicted     uint64 // highest sequence evicted from the replay cache
 	replay      map[uint64][]byte
@@ -100,16 +92,6 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// attachedQuery is one coordinator-posted query's shard-local execution
-// state: the planned query, its operator instance and, for queries whose
-// per-node inputs are derived rather than shared (GROUP BY ... WITH
-// HISTORY), the derivation source.
-type attachedQuery struct {
-	plan     *query.Plan
-	op       topk.SnapshotOperator
-	override trace.Source
-}
-
 // historicExec caches one historic execution's buffered windows between
 // the phase-1 ranking and phase-2 targeted fetches.
 type historicExec struct {
@@ -117,9 +99,9 @@ type historicExec struct {
 }
 
 // replayCap bounds the at-most-once response cache. The pipelined client
-// keeps several calls in flight per connection (overlapped group
-// acquisitions, stats polls, concurrent historic rounds), so the cache
-// must outlive the deepest plausible in-flight window plus its retries.
+// keeps several calls in flight per connection (epoch rounds, stats
+// polls, concurrent historic rounds), so the cache must outlive the
+// deepest plausible in-flight window plus its retries.
 const replayCap = 64
 
 // NewServer builds a shard server: the shard's network (deterministic or
@@ -155,10 +137,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		sub:       sub,
 		net:       network,
 		src:       src,
-		schema:    query.DefaultSchema(),
 		name:      cfg.Scenario.ShardName(cfg.Shard),
 		roster:    roster,
-		queries:   make(map[uint32]*attachedQuery),
 		historics: make(map[uint32]*historicExec),
 		replay:    make(map[uint64][]byte),
 		conns:     make(map[net.Conn]bool),
@@ -185,6 +165,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		tp = inj
 	}
 	s.tp = tp
+	s.shard = s.newShard()
 	if err := s.openDurable(); err != nil {
 		s.stopLive()
 		return nil, err
@@ -216,7 +197,7 @@ func (s *Server) openDurable() error {
 	s.journal = j
 	s.nonce = jst.nonce
 	for _, a := range jst.attaches {
-		if err := s.attach(a); err != nil {
+		if err := s.shard.Attach(a.Query, engine.Attachment{Algo: a.Algo, SQL: a.SQL}); err != nil {
 			j.Close()
 			store.Close()
 			return fmt.Errorf("wire: replaying journaled attach %d (%q): %w", a.Query, a.SQL, err)
@@ -229,6 +210,31 @@ func (s *Server) openDurable() error {
 		}
 	}
 	return nil
+}
+
+// newShard builds a session's epoch-round shard over the substrate. The
+// durable tier taps its sense commits (recordEpoch). Cross-epoch
+// presampling stays off: requests between rounds (restore, historic runs)
+// touch the transport out of band.
+func (s *Server) newShard() *engine.LocalShard {
+	tp := engine.Recorded{Transport: s.tp, Rec: recorder{s}}
+	sh := engine.NewLocalShard(s.name, tp, s.src, registry.AttachSnapshot)
+	sh.SetPipelining(false)
+	return sh
+}
+
+// recorder is the Server's sense-commit tap (see recordEpoch).
+type recorder struct{ s *Server }
+
+func (r recorder) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
+	r.s.recordEpoch(e, readings)
+}
+
+// Attached reports how many acquisition groups the session holds.
+func (s *Server) Attached() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shard.Attached()
 }
 
 // Name returns the shard's display name.
@@ -305,6 +311,7 @@ func (s *Server) Close() {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
+	s.shard.Close()
 	s.stopLive()
 	if s.journal != nil {
 		s.journal.Close()
@@ -346,9 +353,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.evicted = 0
 		s.replay = make(map[uint64][]byte)
 		s.replayOrder = s.replayOrder[:0]
-		s.queries = make(map[uint32]*attachedQuery)
+		s.shard.Close()
+		s.shard = s.newShard()
 		s.historics = make(map[uint32]*historicExec)
-		s.sensed = nil
 		s.snapState = nil
 		s.restoreBuf = nil
 		if err := s.store.Reset(); err != nil {
@@ -365,15 +372,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	s.mu.Unlock()
-	caps := CapEpochRound | CapSnapshot
-	if s.cfg.DisableEpochRound {
-		caps = 0
-	}
 	welcome := AppendWelcome(nil, Welcome{
 		Version: Version,
 		Shard:   uint16(s.cfg.Shard),
 		Nodes:   uint16(len(s.sub.Nodes)),
-		Caps:    caps,
 		Name:    s.name,
 	})
 	if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
@@ -395,12 +397,10 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // checkHello verifies the coordinator dialed the deployment it thinks it
-// dialed: protocol version, scenario name, shard index and count, node
-// count. A mismatch fails the handshake instead of corrupting epochs.
+// dialed (DecodeHello already refused other protocol versions): scenario
+// name, shard index and count, node count. A mismatch fails the handshake
+// instead of corrupting epochs.
 func (s *Server) checkHello(h Hello) error {
-	if h.Version != Version {
-		return fmt.Errorf("wire: protocol version %d, server speaks %d", h.Version, Version)
-	}
 	if h.Scenario != s.cfg.Scenario.Name {
 		return fmt.Errorf("wire: scenario %q, server deploys %q", h.Scenario, s.cfg.Scenario.Name)
 	}
@@ -463,12 +463,12 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.attach(req); err != nil {
+		if err := s.shard.Attach(req.Query, engine.Attachment{Algo: req.Algo, SQL: req.SQL}); err != nil {
 			return 0, nil, err
 		}
-		// Journaled AFTER the attach succeeds (and not inside attach, which
-		// recovery replays): a journaled attach is one the shard will accept
-		// again on restart.
+		// Journaled AFTER the attach succeeds (and not inside the shard,
+		// which recovery replays into): a journaled attach is one the shard
+		// will accept again on restart.
 		if s.journal != nil {
 			if err := s.journal.Attach(req); err != nil {
 				return 0, nil, err
@@ -476,62 +476,37 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		}
 		return MsgAttached, AppendU32(nil, req.Query), nil
 
-	case MsgSense:
-		e, err := DecodeEpoch(f.Payload)
+	case MsgDetach:
+		qid, err := DecodeU32(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// Presample + commit is the coordinator's exact sensing order
-		// (idle charge, dead-node drop, sensing charge, history record);
-		// the post-commit readings are what this epoch's acquisitions see.
-		readings := engine.PresampleEpoch(s.tp, s.src, e)
-		engine.CommitSenseEpoch(s.tp, e, readings)
-		s.recordEpoch(e, readings)
-		s.senseEpoch, s.sensed = e, readings
-		return MsgReadings, AppendReadings(nil, e, readings), nil
-
-	case MsgAcquire:
-		req, err := DecodeAcquire(f.Payload)
-		if err != nil {
+		if err := s.shard.Detach(qid); err != nil {
 			return 0, nil, err
 		}
-		if s.sensed == nil || s.senseEpoch != req.Epoch {
-			return 0, nil, fmt.Errorf("wire: acquire epoch %d without a matching sense (last sensed %d)", req.Epoch, s.senseEpoch)
+		if s.journal != nil {
+			if err := s.journal.Detach(qid); err != nil {
+				return 0, nil, err
+			}
 		}
-		answers, override, err := s.acquireLocked(req.Query, req.Epoch)
-		if err != nil {
-			return 0, nil, err
-		}
-		return MsgAnswers, AppendAnswers(nil, req.Epoch, answers, override), nil
+		return MsgDetached, AppendU32(nil, qid), nil
 
 	case MsgEpochRound:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: epoch-round not negotiated")
-		}
 		req, err := DecodeEpochRound(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// The whole epoch in one frame: the sense commit, then every
-		// group's acquisition in request order — the exact call order the
-		// per-call protocol produces, so operator and counter state evolve
-		// identically. A group's failure is carried per group (the sensing
-		// and the other groups stand, as they would mid-way through the
-		// per-call sequence).
-		readings := engine.PresampleEpoch(s.tp, s.src, req.Epoch)
-		engine.CommitSenseEpoch(s.tp, req.Epoch, readings)
-		s.recordEpoch(req.Epoch, readings)
-		s.senseEpoch, s.sensed = req.Epoch, readings
-		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings}
-		for _, qid := range req.Queries {
-			var g RoundGroup
-			answers, override, err := s.acquireLocked(qid, req.Epoch)
-			if err != nil {
-				g.Err = err.Error()
+		readings, results, err := s.shard.EpochRound(req.Epoch, req.Queries)
+		if err != nil {
+			return 0, nil, err
+		}
+		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings, Groups: make([]RoundGroup, len(results))}
+		for i, r := range results {
+			if r.Err != nil {
+				rep.Groups[i].Err = r.Err.Error()
 			} else {
-				g.Answers, g.Override = answers, override
+				rep.Groups[i] = RoundGroup{Answers: r.Answers, Override: r.Readings}
 			}
-			rep.Groups = append(rep.Groups, g)
 		}
 		payload, err := AppendEpochRoundReply(nil, s.roster, rep)
 		if err != nil {
@@ -584,9 +559,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgReleased, AppendU32(nil, exec), nil
 
 	case MsgSnapshot:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: snapshot not negotiated")
-		}
 		req, err := DecodeSnapshotReq(f.Payload)
 		if err != nil {
 			return 0, nil, err
@@ -616,9 +588,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgSnapshotChunk, payload, nil
 
 	case MsgRestore:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: snapshot not negotiated")
-		}
 		req, err := DecodeRestoreChunk(f.Payload)
 		if err != nil {
 			return 0, nil, err
@@ -674,8 +643,8 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 
 // recordEpoch folds one committed sense epoch into the durable tier and,
 // in durable mode, checkpoints the energy ledger into the journal (the
-// restart floor: a kill -9 loses at most the epoch in flight). Called
-// under s.mu; both are best-effort for answers — the store skips epochs
+// restart floor: a kill -9 loses at most the epoch in flight). The shard's
+// sense commit calls it through the recorder tap, under s.mu; both are best-effort for answers — the store skips epochs
 // it already persisted, and a storage failure sticks in store.Err()
 // rather than perturbing the sense path.
 func (s *Server) recordEpoch(e model.Epoch, readings map[model.NodeID]model.Reading) {
@@ -698,60 +667,6 @@ func (s *Server) energyOf(n model.NodeID) float64 {
 
 // Store exposes the shard's durable tier (tests inspect recovery state).
 func (s *Server) Store() *storage.Store { return s.store }
-
-// acquireLocked runs one epoch of an attached query against the epoch's
-// committed sensing (s.mu held). For queries whose per-node inputs are
-// derived rather than shared (window aggregation), the derivation is
-// rebuilt without charging over the node set the sense committed — the
-// in-process coordinator's exact derivation, so shared epochs stay
-// order-independent across acquisitions — and returned as the override.
-func (s *Server) acquireLocked(qid uint32, e model.Epoch) ([]model.Answer, map[model.NodeID]model.Reading, error) {
-	q, ok := s.queries[qid]
-	if !ok {
-		return nil, nil, fmt.Errorf("wire: query %d not attached", qid)
-	}
-	readings := s.sensed
-	var override map[model.NodeID]model.Reading
-	if q.override != nil {
-		override = engine.DeriveReadings(s.sensed, q.override, e)
-		readings = override
-	}
-	answers, err := q.op.Epoch(e, readings)
-	if err != nil {
-		return nil, nil, err
-	}
-	return answers, override, nil
-}
-
-// attach plans the query text locally and instantiates the shard's own
-// operator — the shard re-derives everything from the SQL, so coordinator
-// and shard can never disagree about what the query means.
-func (s *Server) attach(req AttachReq) error {
-	plan, err := query.PlanText(req.SQL, s.schema)
-	if err != nil {
-		return err
-	}
-	if plan.Kind == query.PlanHistoricTopK {
-		return fmt.Errorf("wire: historic query %q executes via the historic round, not attach", req.SQL)
-	}
-	algo := req.Algo
-	if plan.Kind == query.PlanBasic {
-		algo = "tag"
-	}
-	op, err := registry.Snapshot(algo)
-	if err != nil {
-		return err
-	}
-	if err := op.Attach(s.tp, plan.Snapshot); err != nil {
-		return err
-	}
-	q := &attachedQuery{plan: plan, op: op}
-	if plan.Kind == query.PlanHistoricGroupTopK {
-		q.override = trace.WindowAgg(s.src, plan.History, plan.Snapshot.Agg)
-	}
-	s.queries[req.Query] = q
-	return nil
-}
 
 // bufferWindows materializes the shard's per-node windows from the flat
 // trace source, epoch-aligned across shards (global node ids).

@@ -132,10 +132,16 @@ type System struct {
 	schema     query.Schema
 	fedStats   *fed.Stats
 
-	mu         sync.Mutex
+	// One lock-step scheduler per substrate. det is created at the first
+	// deterministic post and live by ensureLive; remote, on an
+	// OpenFederated System, drives the wire clients and is the only one.
+	mu     sync.Mutex
+	det    *engine.Scheduler
+	live   *engine.Scheduler
+	remote *engine.Scheduler
+
 	lives      []*engine.Live
 	liveTPs    []engine.Transport // lives behind their fault injectors when armed
-	sched      *engine.Scheduler
 	liveCancel context.CancelFunc
 	// liveRuns counts one-shot historic executions in flight on the live
 	// substrate. They run outside the scheduler's epoch lock-step, so
@@ -163,42 +169,17 @@ type System struct {
 	stores []*storage.Store
 
 	// Remote deployments (OpenFederated): the shard networks live in other
-	// processes behind these wire clients; rcoord drives them through
-	// lock-step epochs. nets/source stay empty — there is no local
-	// substrate to run on. qidSeq allocates query/execution ids unique
-	// within this coordinator's wire sessions.
-	remotes []*wire.Client
-	rcoord  *engine.RemoteCoordinator
-	qidSeq  atomic.Uint32
-	wireCfg openConfig // the Open options, reused when Reshard dials new shards
+	// processes behind these wire clients (swapped by Reshard, under mu).
+	// nets/source stay empty — there is no local substrate to run on.
+	// qidSeq allocates historic execution ids unique within this
+	// coordinator's wire sessions.
+	remotes   []*wire.Client
+	qidSeq    atomic.Uint32
+	wireCfg   openConfig // the Open options, reused when Reshard dials new shards
+	reshardMu sync.Mutex // serializes migrations
 
-	// Multi-tenant serving state. admission, when non-nil, gates every
-	// Post (WithAdmission). groupMu serializes shared-acquisition group
-	// bookkeeping across posts and cursor closes: groupCaps records each
-	// group's current acquired ranking depth (keyed by substrate-prefixed
-	// acquisition key, so det and live groups never collide), remoteKeys
-	// the wire query id each remote group's shards are acquired under.
-	// detSched is the deterministic substrate's shared scheduler, created
-	// at the first deterministic snapshot post — every det cursor advances
-	// on its lock-step clock, exactly like live cursors on sched.
-	admission  *engine.Admission
-	groupMu    sync.Mutex
-	groupCaps  map[string]int
-	remoteKeys map[string]*remoteKeyState
-	detSched   *engine.Scheduler
-}
-
-// remoteKeyState tracks one remote shared-acquisition group's wire
-// attachment: the query id acquired each epoch, the ranking depth it was
-// planned at, and the algorithm/SQL it was attached with — what a live
-// re-sharding migration replays onto the target shards (each shard
-// re-derives the operator from the SQL, exactly like the original
-// attach).
-type remoteKeyState struct {
-	rqid uint32
-	cap  int
-	algo string
-	sql  string
+	// admission, when non-nil, gates every Post (WithAdmission).
+	admission *engine.Admission
 }
 
 // OpenOption tunes how a scenario is opened.
@@ -214,7 +195,6 @@ type openConfig struct {
 	wireRetries int
 	wireBackoff time.Duration
 	wireFaults  *wire.Faults
-	wireLegacy  bool
 }
 
 // WithAdmission arms admission control: every Post first reserves a slot
@@ -271,8 +251,6 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 		source:     src,
 		schema:     query.DefaultSchema(),
 		fedStats:   &fed.Stats{},
-		groupCaps:  make(map[string]int),
-		remoteKeys: make(map[string]*remoteKeyState),
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
@@ -354,7 +332,7 @@ func (s *System) Networks() []*sim.Network { return append([]*sim.Network(nil), 
 // Shards reports the number of shard deployments (1 for a flat scenario).
 func (s *System) Shards() int {
 	if s.Remote() {
-		return len(s.remotes)
+		return len(s.remoteClients())
 	}
 	return len(s.nets)
 }
@@ -500,21 +478,38 @@ func (s *System) AdmissionLoad() (total int, perTenant map[string]int) {
 	return s.admission.Load()
 }
 
-// detScheduler lazily creates the deterministic substrate's shared
-// scheduler over the shard transports (behind their fault injectors when
-// armed — arming is refused once any query posted, so the transports are
-// settled by the time the first cursor lands here).
-func (s *System) detScheduler() *engine.Scheduler {
+// scheduler returns the lock-step scheduler a post on the substrate
+// joins: the remote one on an OpenFederated System, the live one (started
+// by ensureLive), or the deterministic one, created at the first
+// deterministic post over the shard transports (behind their fault
+// injectors when armed — arming is refused once any query posted, so the
+// transports are settled by then).
+func (s *System) scheduler(live bool) (*engine.Scheduler, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.detSched == nil {
-		deps := make([]*engine.Deployment, len(s.dets))
-		for i, tp := range s.dets {
-			deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
+	switch {
+	case s.remote != nil:
+		return s.remote, nil
+	case live:
+		if s.live == nil {
+			return nil, fmt.Errorf("kspot: system is closed")
 		}
-		s.detSched = engine.NewScheduler(deps...)
+		return s.live, nil
 	}
-	return s.detSched
+	if s.det == nil {
+		s.det = engine.NewScheduler(s.localShards(s.dets)...)
+	}
+	return s.det, nil
+}
+
+// localShards binds each shard transport to the flat trace source under
+// its shard name.
+func (s *System) localShards(tps []engine.Transport) []engine.RoundShard {
+	shards := make([]engine.RoundShard, len(tps))
+	for i, tp := range tps {
+		shards[i] = engine.NewLocalShard(s.scenario.ShardName(i), tp, s.source, registry.AttachSnapshot)
+	}
+	return shards
 }
 
 // armFaults installs the fault environment on the deterministic substrate
@@ -601,7 +596,6 @@ func (s *System) ensureLive(window int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	lives := make([]*engine.Live, len(s.nets))
 	tps := make([]engine.Transport, len(s.nets))
-	deps := make([]*engine.Deployment, len(s.nets))
 	for i, net := range s.nets {
 		live := engine.NewLive(net, engine.LiveOptions{Window: window})
 		live.Start(ctx)
@@ -625,37 +619,26 @@ func (s *System) ensureLive(window int) {
 			tp = engine.Recorded{Transport: tp, Rec: s.stores[i]}
 		}
 		tps[i] = tp
-		deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
 	}
 	s.lives, s.liveTPs, s.liveCancel = lives, tps, cancel
-	s.sched = engine.NewScheduler(deps...)
+	s.live = engine.NewScheduler(s.localShards(tps)...)
 }
 
-// liveState snapshots the live deployment's shard transports (behind the
-// fault injectors when armed — operators must attach to them, or churn
-// would never observe their epochs) and scheduler under the System lock
-// (both can be torn down by Close concurrently with cursor use).
-func (s *System) liveState() ([]engine.Transport, *engine.Scheduler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveTPs, s.sched
-}
-
-// beginLiveRun snapshots the live deployment for a one-shot historic
-// execution AND registers the run so a concurrent Close waits it out
-// before stopping the node goroutines. The check and the registration
-// share one critical section — snapshotting first and registering later
-// would leave a window where Close tears the substrate down under a run
-// that already holds its transports. release must be called when the run
-// completes.
-func (s *System) beginLiveRun() (tps []engine.Transport, sched *engine.Scheduler, release func(), err error) {
+// beginLiveRun snapshots the live deployment's shard transports (behind
+// the fault injectors when armed) for a one-shot historic execution AND
+// registers the run so a concurrent Close waits it out before stopping the
+// node goroutines. The check and the registration share one critical
+// section — snapshotting first and registering later would leave a window
+// where Close tears the substrate down under a run that already holds its
+// transports. release must be called when the run completes.
+func (s *System) beginLiveRun() (tps []engine.Transport, release func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.liveTPs == nil {
-		return nil, nil, nil, fmt.Errorf("kspot: system is closed")
+		return nil, nil, fmt.Errorf("kspot: system is closed")
 	}
 	s.liveRuns.Add(1)
-	return s.liveTPs, s.sched, func() { s.liveRuns.Done() }, nil
+	return s.liveTPs, func() { s.liveRuns.Done() }, nil
 }
 
 // Close stops the live deployment's node goroutines, if any were started,
@@ -667,20 +650,22 @@ func (s *System) beginLiveRun() (tps []engine.Transport, sched *engine.Scheduler
 // Close.
 func (s *System) Close() {
 	if s.Remote() {
+		// Interrupt in-flight rounds first, then wait them out.
 		for _, cl := range s.remoteClients() {
 			cl.Close()
 		}
+		s.remote.Close()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lives != nil {
-		s.sched.Close()   // waits out any in-flight scheduled epoch
+		s.live.Close()    // waits out any in-flight scheduled epoch and presample
 		s.liveRuns.Wait() // and any in-flight one-shot historic run
 		for _, live := range s.lives {
 			live.Stop()
 		}
 		s.liveCancel()
-		s.lives, s.liveTPs, s.sched, s.liveCancel = nil, nil, nil, nil
+		s.lives, s.liveTPs, s.live, s.liveCancel = nil, nil, nil, nil
 	}
 	for _, store := range s.stores {
 		store.Close()
@@ -695,9 +680,7 @@ func (s *System) Close() {
 // zero block (no durable tier is armed).
 func (s *System) StorageStats() ([]storage.StoreStats, error) {
 	if s.Remote() {
-		s.groupMu.Lock()
-		remotes := append([]*wire.Client(nil), s.remotes...)
-		s.groupMu.Unlock()
+		remotes := s.remoteClients()
 		out := make([]storage.StoreStats, 0, len(remotes))
 		for _, cl := range remotes {
 			st, err := cl.StorageStats()

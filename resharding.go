@@ -7,18 +7,18 @@ package kspot
 //   - while the migration is in flight, every epoch keeps running on the
 //     OLD deployment, so answers never degrade (recall stays 1.0 — pin it
 //     with stats.Score over the migration window if you want the number);
-//   - the coordinator's group state (epoch clock, shared-acquisition
-//     groups, per-cursor buffers) is never rebuilt — each group's wire
-//     query is re-attached on the new shards under the SAME rqid, so the
-//     lock-step tier fans out to the new deployment with zero translation;
+//   - the scheduler's group state (epoch clock, shared-acquisition groups,
+//     per-cursor buffers) is never rebuilt — engine.Scheduler.Install
+//     re-attaches each group on the new shards under the SAME id, so the
+//     next epoch fans out to the new deployment with zero translation;
 //   - the durable historic tier moves with the nodes: each old shard's
 //     windows + epoch cursor + energy ledger stream out as a canonical
 //     snapshot (wire.MsgSnapshot), split per target roster
 //     (storage.ShardState.FilterNodes), and restore on the new shards
 //     (wire.MsgRestore) bit-exact — including float energy partial sums;
-//   - engine.RemoteCoordinator.Install is the drain: it takes the epoch
-//     lock, so the swap cannot interleave a sense/acquire pair, and the
-//     next Step after it lands on the new shards.
+//   - Scheduler.Install is the drain: it swaps the shards under the epoch
+//     lock, so the cutover cannot straddle an epoch round, and the next
+//     Step after it lands on the new shards.
 //
 // The only migration artifact is a gap in the TARGET shards' durable
 // windows covering the epochs that elapsed between snapshot and install
@@ -63,9 +63,10 @@ type ReshardReport struct {
 //
 // Posted cursors keep stepping throughout: epochs in flight during the
 // migration run on the old shards, and the first epoch after it on the
-// new ones, with no stop-the-world window. New Posts and Closes block for
-// the duration. Old connections close once the swap is serialized against
-// the epoch clock.
+// new ones, with no stop-the-world window. Posts and Closes landing
+// mid-migration attach and detach on the old shards; Install replays the
+// groups live at the swap. Migrations do not overlap. Old connections
+// close once the swap is serialized against the epoch clock.
 func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport, error) {
 	if !s.Remote() {
 		return nil, fmt.Errorf("kspot: Reshard needs a remote deployment (OpenFederated)")
@@ -84,11 +85,17 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		return nil, err
 	}
 
-	epochBefore := s.rcoord.EpochNow()
+	s.reshardMu.Lock()
+	defer s.reshardMu.Unlock()
+	old := s.remoteClients()
+	if len(old) < 2 {
+		return nil, fmt.Errorf("kspot: Reshard needs at least 2 current shards, got %d", len(old))
+	}
+	epochBefore := s.remote.Epoch()
 
 	// Dial every new shard before touching anything — a target that is
 	// down or skewed fails the whole move with the old deployment intact.
-	clients, deps, err := dialShards(newScenario, shardScens, addrs, s.wireCfg)
+	clients, err := dialShards(shardScens, addrs, newScenario.Name, s.wireCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -98,36 +105,12 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		}
 	}
 
-	s.groupMu.Lock()
-	defer s.groupMu.Unlock()
-	if len(s.remotes) < 2 {
-		closeNew()
-		return nil, fmt.Errorf("kspot: Reshard needs at least 2 current shards, got %d", len(s.remotes))
-	}
-
-	// Replay every shared-acquisition group's attachment on every new
-	// shard under its existing rqid: the shard re-plans the SQL and
-	// instantiates the identical operator, and the coordinator's group
-	// state needs no translation when the swap lands.
-	for _, st := range s.remoteKeys {
-		for _, cl := range clients {
-			if err := cl.Attach(st.rqid, st.algo, st.sql); err != nil {
-				closeNew()
-				return nil, fmt.Errorf("kspot: reshard re-attach query %d: %w", st.rqid, err)
-			}
-		}
-	}
-
 	// Snapshot every old shard's durable tier. Epochs keep running on the
 	// old deployment while these stream — MsgSnapshot only reads the
 	// store, it never touches the epoch state machine.
 	moved := 0
-	states := make([]storage.ShardState, len(s.remotes))
-	for i, cl := range s.remotes {
-		if !cl.SupportsSnapshot() {
-			closeNew()
-			return nil, fmt.Errorf("kspot: shard %s does not speak the snapshot protocol", s.scenario.ShardName(i))
-		}
+	states := make([]storage.ShardState, len(old))
+	for i, cl := range old {
 		img, err := cl.Snapshot()
 		if err != nil {
 			closeNew()
@@ -154,21 +137,24 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		}
 	}
 
-	// The drain and the swap: Install takes the epoch lock, so no epoch
-	// round or historic round straddles the cutover.
-	if err := s.rcoord.Install(deps); err != nil {
+	// Re-attach every group on the new shards (each re-plans the SQL and
+	// instantiates the identical operator), then drain and swap.
+	groups, err := s.remote.Install(roundShards(clients))
+	if err != nil {
 		closeNew()
-		return nil, err
+		return nil, fmt.Errorf("kspot: reshard re-attach: %w", err)
 	}
-	old := s.remotes
-	s.remotes = clients
-	s.scenario = newScenario
-	s.shardScens = shardScens
-	epochAfter := s.rcoord.EpochNow()
+	epochAfter := s.remote.Epoch()
 
-	// Close the old connections serialized against the epoch clock: any
-	// round already holding the lock finishes on them first.
-	s.rcoord.Serialized(func() error {
+	// Swap the System's view and close the old connections serialized
+	// against the epoch clock: any round already holding the lock
+	// finishes on them first.
+	s.remote.Serialized(func() error {
+		s.mu.Lock()
+		s.remotes = clients
+		s.scenario = newScenario
+		s.shardScens = shardScens
+		s.mu.Unlock()
 		for _, cl := range old {
 			cl.Close()
 		}
@@ -180,7 +166,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		ToShards:       len(clients),
 		DowntimeEpochs: int(epochAfter - epochBefore),
 		MovedBytes:     moved,
-		Queries:        len(s.remoteKeys),
+		Queries:        groups,
 	}, nil
 }
 

@@ -9,6 +9,8 @@ package kspot
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -25,14 +27,6 @@ import (
 // loopback listeners (in-process, so the whole protocol runs under the
 // race detector) and returns their addresses in shard order.
 func startWireShards(t *testing.T, scen *Scenario, parallel int) ([]string, []*wire.Server) {
-	return startWireShardsMixed(t, scen, parallel, nil)
-}
-
-// startWireShardsMixed is startWireShards with a per-shard protocol
-// version: shards where legacy(i) is true withhold the epoch-round
-// capability from their welcome, simulating an old server in a
-// mixed-version deployment.
-func startWireShardsMixed(t *testing.T, scen *Scenario, parallel int, legacy func(i int) bool) ([]string, []*wire.Server) {
 	t.Helper()
 	shardScens, err := scen.ShardScenarios()
 	if err != nil {
@@ -42,10 +36,9 @@ func startWireShardsMixed(t *testing.T, scen *Scenario, parallel int, legacy fun
 	servers := make([]*wire.Server, len(shardScens))
 	for i := range shardScens {
 		srv, err := wire.NewServer(wire.ServerConfig{
-			Scenario:          scen,
-			Shard:             i,
-			Parallel:          parallel,
-			DisableEpochRound: legacy != nil && legacy(i),
+			Scenario: scen,
+			Shard:    i,
+			Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -489,20 +482,16 @@ func TestWireOpenRejects(t *testing.T) {
 	}
 }
 
-// TestWireMixedProtocolConformance: a deployment where some shard servers
-// are old (no epoch-round capability) and some are new must keep answering
-// byte-identically — the coordinator batches the rounds of the shards that
-// negotiated the capability and walks the per-call protocol for the rest,
-// inside the same epoch. Pinned against the all-legacy run (the client
-// forced per-call everywhere) and against the default all-batched run,
-// with the per-shard wire metrics witnessing which protocol each session
-// actually spoke.
+// TestWireMixedProtocolConformance: since protocol v2 there is one epoch
+// protocol and nothing to mix — every session speaks the epoch round. A
+// 3-shard deployment answers byte-identically with and without frame
+// faults, and every shard's session witnesses exactly one round per epoch.
 func TestWireMixedProtocolConformance(t *testing.T) {
 	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
 	const epochs = 6
 
-	run := func(legacyShard func(i int) bool, opts ...OpenOption) ([]StepResult, *System) {
-		addrs, _ := startWireShardsMixed(t, shardedDemo(t, 3), 0, legacyShard)
+	run := func(opts ...OpenOption) ([]StepResult, *System) {
+		addrs, _ := startWireShards(t, shardedDemo(t, 3), 0)
 		sys, err := OpenFederated(shardedDemo(t, 3), addrs, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -511,34 +500,117 @@ func TestWireMixedProtocolConformance(t *testing.T) {
 		return runCursor(t, sys, sql, AlgoMINT, false, epochs), sys
 	}
 
-	batched, batchedSys := run(nil)
-	legacy, _ := run(nil, withWireLegacy())
-	mixed, mixedSys := run(func(i int) bool { return i == 0 }) // shard 0 is an old server
-
-	stepEqualByteIdentical(t, "all-legacy vs all-batched", legacy, batched)
-	stepEqualByteIdentical(t, "mixed vs all-batched", mixed, batched)
-
-	// The metrics witness the negotiated protocols: an epoch on a batched
-	// session is ONE call; on a per-call session it is a sense plus one
-	// acquire per group — strictly more.
-	bm, mm := batchedSys.WireMetrics(), mixedSys.WireMetrics()
-	if len(bm) != 3 || len(mm) != 3 {
-		t.Fatalf("wire metrics rows: %d / %d", len(bm), len(mm))
-	}
-	for i, m := range bm {
-		if m.Rounds == 0 || m.Calls == 0 {
-			t.Fatalf("batched shard %d metrics empty: %+v", i, m)
+	clean, cleanSys := run()
+	for i, m := range cleanSys.WireMetrics() {
+		if m.Rounds != epochs {
+			t.Fatalf("shard %d: %d epoch rounds for %d epochs", i, m.Rounds, epochs)
 		}
 	}
-	if mm[0].Calls <= mm[1].Calls {
-		t.Fatalf("legacy shard 0 made %d calls, batched shard 1 made %d — per-call fallback did not run", mm[0].Calls, mm[1].Calls)
-	}
-
-	// Mixed deployments keep their protocol under frame faults too.
-	faulty, _ := run(func(i int) bool { return i == 0 },
+	faulty, _ := run(
 		withWireFaults(wire.Faults{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.15, DropResp: 0.1, MaxDelay: time.Millisecond}),
 		WithWireTimeout(250*time.Millisecond),
 		WithWireRetry(10, 2*time.Millisecond),
 	)
-	stepEqualByteIdentical(t, "mixed under faults vs all-batched", faulty, batched)
+	stepEqualByteIdentical(t, "under faults vs clean", faulty, clean)
+}
+
+// TestWireDetachReleasesAttachments: a shard holds exactly the live
+// acquisition groups — a closed cursor's dissolved group and a widened
+// group's narrower attachment are detached — and a shard restarted from
+// its data dir replays only the attachments still live.
+func TestWireDetachReleasesAttachments(t *testing.T) {
+	scen := DemoScenario()
+	dir := t.TempDir()
+	srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: 0, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() { srv.Close() }()
+	sys, err := OpenFederated(scen, []string{ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	post := func(sql string) *Cursor {
+		t.Helper()
+		cur, err := sys.Post(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.Step(); err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	attached := func(want int, when string) {
+		t.Helper()
+		if got := srv.Attached(); got != want {
+			t.Fatalf("%s: shard holds %d attachments, want %d", when, got, want)
+		}
+	}
+	var curs []*Cursor
+	for _, sig := range []string{"AVG(sound)", "MAX(sound)", "AVG(temp)", "MIN(temp)"} {
+		curs = append(curs, post("SELECT TOP 2 roomid, "+sig+" FROM sensors GROUP BY roomid"))
+	}
+	attached(4, "four signatures")
+	curs = append(curs, post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"))
+	attached(4, "after widening one group")
+	for _, cur := range curs {
+		cur.Close()
+	}
+	attached(0, "every cursor closed")
+
+	post("SELECT TOP 2 roomid, MAX(temp) FROM sensors GROUP BY roomid")
+	attached(1, "one cursor posted again")
+	srv.Close()
+	srv, err = wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: 0, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached(1, "restarted from the data dir")
+}
+
+// TestWireStepContextCancel: a remote cursor's StepContext honours its
+// deadline while the epoch round is on a slow link — it returns ctx.Err()
+// promptly, the round finishes in the background, and the next Step
+// yields that same epoch: the stream has no gap.
+func TestWireStepContextCancel(t *testing.T) {
+	const linkDelay = 40 * time.Millisecond // a round costs ≥ 2×linkDelay
+	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
+	sys, err := OpenFederated(shardedDemo(t, 2), addrs, withWireFaults(wire.Faults{LinkDelay: linkDelay}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Step(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), linkDelay/4)
+	defer cancel()
+	start := time.Now()
+	if _, err := cur.StepContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("short-deadline step returned %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= 2*linkDelay {
+		t.Fatalf("cancelled step took %v, the whole round", elapsed)
+	}
+	for want := Epoch(1); want <= 2; want++ {
+		res, err := cur.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != want || !res.Correct {
+			t.Fatalf("step after cancel: epoch %d (want %d), correct %v", res.Epoch, want, res.Correct)
+		}
+	}
 }
